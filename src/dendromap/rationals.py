@@ -16,9 +16,10 @@ from .errors import BudgetExceeded, DomainError
 
 ExactRational = Fraction
 
-#: Defensive cap on the exponent scanned by :func:`first_dyadic_in`.  A scan
-#: over a nonempty open interval always terminates long before this; hitting
-#: the cap indicates a caller bug (empty interval passed as nonempty).
+#: Defensive cap on the exponent scanned by :func:`dyadics_in`.  A scan for
+#: a first free point of a nonempty open interval always terminates long
+#: before this; hitting the cap indicates a caller bug (empty interval passed
+#: as nonempty).
 MAX_SCAN_EXPONENT = 4096
 
 
@@ -100,6 +101,29 @@ def canonical_min(values: Iterable[Fraction]) -> Fraction:
     return min(vals, key=canonical_key)
 
 
+def dyadics_in(parity: int, lo: Fraction, hi: Fraction) -> Iterator[Fraction]:
+    """Yield the parity-class dyadics of the open interval (lo, hi) in order.
+
+    The order is the canonical one: the same subsequence as filtering
+    :func:`canonical_enumeration` by parity class and by the interval, but
+    each exponent q jumps straight to the first numerator above ``lo``, so a
+    narrow window costs one step per exponent, not one per candidate.  The
+    bounds are compared in integers (p/2**q < hi iff p*hd < hn*2**q); only a
+    yielded candidate becomes a Fraction.  The scan stops after exponent
+    :data:`MAX_SCAN_EXPONENT`.
+    """
+    ln, ld = lo.numerator, lo.denominator
+    hn, hd = hi.numerator, hi.denominator
+    for q in range(2 - parity, MAX_SCAN_EXPONENT + 1, 2):
+        denom = 1 << q
+        top = hn * denom
+        # Smallest odd p with p/denom > lo.
+        p = (ln * denom // ld + 1) | 1
+        while p < denom and p * hd < top:
+            yield Fraction(p, denom)
+            p += 2
+
+
 def first_dyadic_in(
     parity: int,
     interval: tuple[Fraction, Fraction],
@@ -107,37 +131,24 @@ def first_dyadic_in(
 ) -> Fraction:
     """Canonically first dyadic of the given parity class in an open interval.
 
-    Scans exponents q with q mod 2 == parity in ascending order and, within
-    each q, odd numerators in ascending order; the first hit inside the open
-    interval (lo, hi) and outside ``excluded`` wins.  Raises DomainError for
-    an empty interval and BudgetExceeded if the defensive exponent cap is hit.
+    The first yield of :func:`dyadics_in` outside ``excluded`` wins.  A set,
+    frozenset or dict (whose keys count) is used for membership as it is;
+    any other iterable is read into a frozenset first.  Raises DomainError
+    for an empty interval and BudgetExceeded if the defensive exponent cap
+    is hit.
     """
     if parity not in (0, 1):
         raise DomainError(f"parity class must be 0 or 1, got {parity}")
     lo, hi = Fraction(interval[0]), Fraction(interval[1])
     if not (lo < hi):
         raise DomainError(f"empty interval ({lo}, {hi})")
-    if isinstance(excluded, (set, frozenset)):
+    if isinstance(excluded, (set, frozenset, dict)):
         skip = excluded
     else:
         skip = frozenset(Fraction(e) for e in excluded)
-    q = 2 if parity == 0 else 1
-    while q <= MAX_SCAN_EXPONENT:
-        denom = 1 << q
-        # Smallest odd p with p/denom > lo.
-        p = lo.numerator * denom // lo.denominator + 1
-        if p % 2 == 0:
-            p += 1
-        while Fraction(p, denom) <= lo:
-            p += 2
-        while p < denom:
-            cand = Fraction(p, denom)
-            if cand >= hi:
-                break
-            if cand not in skip:
-                return cand
-            p += 2
-        q += 2
+    for cand in dyadics_in(parity, lo, hi):
+        if cand not in skip:
+            return cand
     raise BudgetExceeded(
         f"no parity-{parity} dyadic found in ({lo}, {hi}) below exponent "
         f"{MAX_SCAN_EXPONENT}; the interval is effectively empty"

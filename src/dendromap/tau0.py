@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BudgetExceeded, DomainError
-from .plmap import base_backward, base_forward, base_iterate
+from .plmap import base_backward, base_forward
 from .rationals import (
     canonical_enumeration,
     first_dyadic_in,
@@ -76,10 +76,15 @@ class Tau0Engine:
         self._rungs: dict[int, Fraction] = {}
         self._rung_lo = 0
         self._rung_hi = 0
-        self._assigned: set[Fraction] = set()
         self._xi: dict[Fraction, Fraction] = {}
+        # Every assigned point, with its role; also the exclusion set of
+        # every pick.
         self._role: dict[Fraction, tuple] = {}
         self._stages: list[Stage] = []
+        # Cursor of the stage-start search: the assigned set only grows, so
+        # the canonically first free point only moves forward.
+        self._starts = canonical_enumeration()
+        self._next_start = next(self._starts)
         self._round = 0
         z0 = first_dyadic_in(0, (Fraction(1, 2), Fraction(3, 4)))
         self._add_rung(0, z0)
@@ -88,7 +93,6 @@ class Tau0Engine:
 
     def _add_rung(self, m: int, value: Fraction) -> None:
         self._rungs[m] = value
-        self._assigned.add(value)
         self._role[value] = ("rung", m)
         below = self._rungs.get(m - 1)
         if below is not None:
@@ -102,7 +106,7 @@ class Tau0Engine:
         prev = self._rungs[m - 1]
         lo = max(1 - Fraction(1, 2 ** (m + 1)), prev)
         hi = min(1 - Fraction(1, 2 ** (m + 2)), base_backward(prev))
-        z = first_dyadic_in(m % 2, (lo, hi), self._assigned)
+        z = first_dyadic_in(m % 2, (lo, hi), self._role)
         self._rung_hi = m
         self._add_rung(m, z)
 
@@ -111,7 +115,7 @@ class Tau0Engine:
         nxt = self._rungs[n + 1]
         lo = base_forward(nxt)
         hi = (lo + nxt) / 2
-        z = first_dyadic_in(n % 2, (lo, hi), self._assigned)
+        z = first_dyadic_in(n % 2, (lo, hi), self._role)
         self._rung_lo = n
         self._add_rung(n, z)
 
@@ -136,26 +140,29 @@ class Tau0Engine:
     # -- stages ---------------------------------------------------------
 
     def _assign(self, x: Fraction, role: tuple) -> None:
-        if x in self._assigned:
+        if x in self._role:
             raise BudgetExceeded(f"double assignment of {x}; construction bug")
-        self._assigned.add(x)
         self._role[x] = role
 
     def _run_stage(self, j: int) -> None:
-        start = next(
-            cand for cand in canonical_enumeration() if cand not in self._assigned
-        )
+        while self._next_start in self._role:
+            self._next_start = next(self._starts)
+        start = self._next_start
         c = parity_class(start)
         eps = Fraction(1, 2**j)
         prev_anchor = self._stages[-1].anchor if self._stages else None
 
+        # ys[i] is the i-th base iterate of start; it grows by one step per
+        # candidate length.
+        ys = [start]
         anchor = None
         length = 0
         while anchor is None:
             length += 1
             if length > 8 * (j + 60):
                 raise BudgetExceeded(f"no anchor found for stage {j}")
-            yl = base_iterate(start, length)
+            yl = base_forward(ys[-1])
+            ys.append(yl)
             if yl >= eps:
                 continue
             while self._rungs[self._rung_lo] > yl:
@@ -174,7 +181,6 @@ class Tau0Engine:
                 anchor = m
                 break
 
-        ys = [base_iterate(start, i) for i in range(length + 1)]
         gap = self._rungs[anchor] - ys[length]
         self._assign(start, ("chain", j, 0))
         forward = [start]
@@ -183,7 +189,7 @@ class Tau0Engine:
             prev = forward[-1]
             fp = base_forward(prev)
             cap = min(fp + eps, prev, ys[i] + margin)
-            pick = first_dyadic_in((c + i) % 2, (fp, cap), self._assigned)
+            pick = first_dyadic_in((c + i) % 2, (fp, cap), self._role)
             self._assign(pick, ("chain", j, i))
             self._xi[prev] = pick
             forward.append(pick)
@@ -236,7 +242,7 @@ class Tau0Engine:
             break
 
         pick = first_dyadic_in(
-            (stage.parity + k + 1) % 2, (lo, min(hi, cap)), self._assigned
+            (stage.parity + k + 1) % 2, (lo, min(hi, cap)), self._role
         )
         self._assign(pick, ("chain", stage.index, -(k + 1)))
         self._xi[pick] = cur
@@ -289,7 +295,7 @@ class Tau0Engine:
 
     def role(self, x) -> tuple:
         x = self._validate(x)
-        while x not in self._assigned:
+        while x not in self._role:
             self._run_round()
         return self._role[x]
 
@@ -325,7 +331,7 @@ class Tau0Engine:
 
     def preimages(self, v) -> list[Fraction]:
         v = self._validate(v)
-        while v not in self._assigned:
+        while v not in self._role:
             self._run_round()
         role = self._role[v]
         if role[0] == "rung":
@@ -350,7 +356,7 @@ class Tau0Engine:
         """Canonical backward move: rungs descend the ladder, hopping onto a
         stage chain at its anchor; chain points step to their predecessor."""
         v = self._validate(v)
-        while v not in self._assigned:
+        while v not in self._role:
             self._run_round()
         role = self._role[v]
         if role[0] == "rung":
@@ -402,7 +408,7 @@ class Tau0Engine:
 
     @property
     def assigned_count(self) -> int:
-        return len(self._assigned)
+        return len(self._role)
 
     def deviation_set(self, eps: Fraction) -> set[Fraction]:
         """Settled points whose step exceeds eps: {x : xi(x) - phi(x) > eps}."""

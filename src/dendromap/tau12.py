@@ -38,12 +38,12 @@ from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .errors import BudgetExceeded, DomainError
 from .plmap import OMEGA, ONE, ZERO, PLMap, base_forward, frame_diagonal
 from .rationals import (
     as_fraction,
+    dyadics_in,
     first_dyadic_in,
     format_rational,
     is_dyadic,
@@ -69,27 +69,6 @@ class PLStage:
 
     def slopes(self) -> tuple[Fraction, ...]:
         return self.as_plmap().slopes()
-
-
-def _family_stream(parity: int, lo: Fraction, hi: Fraction) -> Iterator[Fraction]:
-    # Same subsequence as parity-filtering the canonical enumeration, but
-    # jumping straight to the numerators inside (lo, hi) at each level, so a
-    # narrow window costs levels, not candidates.
-    q = 2 if parity == 0 else 1
-    while True:
-        denom = 1 << q
-        p = lo.numerator * denom // lo.denominator + 1
-        if p % 2 == 0:
-            p += 1
-        while Fraction(p, denom) <= lo:
-            p += 2
-        while p < denom:
-            cand = Fraction(p, denom)
-            if cand >= hi:
-                break
-            yield cand
-            p += 2
-        q += 2
 
 
 class TauEngine:
@@ -126,15 +105,16 @@ class TauEngine:
         self._nodes: list[Fraction] = [a, b]
         self._values: dict[Fraction, Fraction] = {a: a2, b: b2}
         self._vals_sorted: list[Fraction] = sorted((a2, b2))
-        self._assigned: set[Fraction] = {a, b}
+        # Settled value -> the sorted interior nodes that carry it.
+        self._holders: dict[Fraction, list[Fraction]] = {}
         self._settled_by: tuple[set, set] = (set(), set())
         self._targets: tuple[set, set] = (set(), set())
         self._dq: tuple[deque, deque] = (deque(), deque())
         self._tq: tuple[deque, deque] = (deque(), deque())
-        self._dom_iters = (_family_stream(0, a, b), _family_stream(1, a, b))
+        self._dom_iters = (dyadics_in(0, a, b), dyadics_in(1, a, b))
         self._tgt_iters = (
-            _family_stream(self._tp[0], a2, b2),
-            _family_stream(self._tp[1], a2, b2),
+            dyadics_in(self._tp[0], a2, b2),
+            dyadics_in(self._tp[1], a2, b2),
         )
         self._round = 0
         self._log: list[dict] = []
@@ -231,7 +211,7 @@ class TauEngine:
         hi = min(x1, xstar + halfw, x1 - abs(u1 - rp) / self._lip)
         if not lo < hi:
             raise BudgetExceeded(f"{self._label}: empty cascade window in segment {i}")
-        return first_dyadic_in(c, (lo, hi), self._assigned)
+        return first_dyadic_in(c, (lo, hi), self._values)
 
     # -- refinement steps -------------------------------------------------
 
@@ -281,11 +261,11 @@ class TauEngine:
             picks = [self._cascade_pick(c, i, rp, eps) for i in hits]
         else:
             # The value is already attained at a node; thicken it rightward.
-            holders = [i for i, x in enumerate(self._nodes) if self._values[x] == rp]
+            holders = self._holders.get(rp)
             if not holders:
                 raise BudgetExceeded(f"{self._label}: unreachable target {rp}")
-            i = holders[0]
-            x0, x1 = self._nodes[i], self._nodes[i + 1]
+            x0 = holders[0]
+            x1 = self._nodes[bisect_right(self._nodes, x0)]
             u1 = self._values[x1]
             if u1 == rp:
                 lo, hi = x0, x1
@@ -295,7 +275,7 @@ class TauEngine:
                 hi = min(x1, x0 + eps / abs(slope), x1 - abs(u1 - rp) / self._lip)
             if not lo < hi:
                 raise BudgetExceeded(f"{self._label}: empty plateau window at {rp}")
-            picks = [first_dyadic_in(c, (lo, hi), self._assigned)]
+            picks = [first_dyadic_in(c, (lo, hi), self._values)]
         self._commit(c, rp, picks, kind="target", base=None, eps=eps)
 
     def _commit(
@@ -315,7 +295,7 @@ class TauEngine:
             insort(self._nodes, x)
             self._values[x] = rp
             insort(self._vals_sorted, rp)
-            self._assigned.add(x)
+            insort(self._holders.setdefault(rp, []), x)
             self._settled_by[c].add(x)
         self._targets[c].add(rp)
         step = max((abs(old[x] - rp) for x in picks), default=ZERO)
@@ -470,11 +450,7 @@ class TauEngine:
             raise DomainError(f"{v} is not in any target family")
         for c in families:
             self._settle(v, c)
-        result = sorted(
-            x
-            for x in self._nodes
-            if x != self._a and x != self._b and self._values[x] == v
-        )
+        result = list(self._holders.get(v, ()))
         self._record(
             "preimages",
             [format_rational(v)],

@@ -660,3 +660,17 @@ def test_arc_contraction_property(t, u):
 
 
 _SHARED = RhoContext()
+
+
+def test_settled_values_depend_on_query_history():
+    from itertools import islice
+
+    from dendromap.rationals import canonical_enumeration
+
+    word = (HALF, F(1, 4), F(3, 8))
+    assert RhoContext().rho(word) == (F(65, 256), F(5, 32))
+    warmed = RhoContext()
+    engine = warmed.tau_alpha(word[:2])
+    for t in islice(canonical_enumeration(), 32):
+        engine.eval_exact(t)
+    assert warmed.rho(word) == (F(65, 256), F(7, 32))

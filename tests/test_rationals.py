@@ -1,7 +1,8 @@
 from fractions import Fraction
+from itertools import dropwhile, islice, takewhile
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dendromap.errors import DomainError
@@ -11,6 +12,7 @@ from dendromap.rationals import (
     canonical_key,
     canonical_min,
     dyadic_parts,
+    dyadics_in,
     first_dyadic_in,
     format_rational,
     is_dyadic,
@@ -129,6 +131,64 @@ class TestFirstDyadicIn:
         assert lo < got < hi
         assert parity_class(got) == parity
         assert got not in excluded
+
+
+#: The canonical enumeration through exponent CANON_Q, materialized once.
+CANON_Q = 12
+CANON = list(islice(canonical_enumeration(), (1 << CANON_Q) - 1))
+
+# Window bounds: 0, dyadics, and non-dyadic rationals.
+bounds = st.one_of(
+    st.just(Fraction(0)),
+    dyadics,
+    st.fractions(min_value=0, max_value=1, max_denominator=1000),
+)
+
+
+class TestDyadicsIn:
+    def test_prefix_examples(self):
+        got = list(islice(dyadics_in(1, Fraction(0), Fraction(1)), 5))
+        assert got == [
+            Fraction(1, 2),
+            Fraction(1, 8),
+            Fraction(3, 8),
+            Fraction(5, 8),
+            Fraction(7, 8),
+        ]
+        got = list(islice(dyadics_in(0, Fraction(1, 3), Fraction(1, 2)), 3))
+        assert got == [Fraction(7, 16), Fraction(23, 64), Fraction(25, 64)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=1),
+        bounds,
+        st.one_of(
+            # Windows narrower than the finest scanned exponent, and wide ones.
+            st.integers(min_value=CANON_Q - 2, max_value=CANON_Q + 6).map(
+                lambda k: Fraction(1, 1 << k)
+            ),
+            st.fractions(min_value=Fraction(1, 1 << 20), max_value=1),
+        ),
+    )
+    def test_matches_filtered_canonical_enumeration(self, parity, lo, width):
+        hi = lo + width
+        deep = 1 << (CANON_Q + 1)
+        brute = [x for x in CANON if parity_class(x) == parity and lo < x < hi]
+        got = takewhile(lambda x: x.denominator < deep, dyadics_in(parity, lo, hi))
+        assert list(got) == brute
+        # A window inside (0, 1) holds dyadics of every depth, and the scan
+        # goes on past the materialized prefix to find them.
+        if hi <= 1:
+            beyond = dropwhile(lambda x: x.denominator < deep, dyadics_in(parity, lo, hi))
+            nxt = next(beyond)
+            assert lo < nxt < hi and parity_class(nxt) == parity
+
+    def test_stops_at_the_exponent_cap(self, monkeypatch):
+        from dendromap import rationals
+
+        monkeypatch.setattr(rationals, "MAX_SCAN_EXPONENT", 5)
+        got = list(dyadics_in(1, Fraction(1, 3), Fraction(1, 2)))
+        assert got == [Fraction(3, 8), Fraction(11, 32), Fraction(13, 32), Fraction(15, 32)]
 
 
 class TestFormatting:

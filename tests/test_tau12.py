@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from dendromap.errors import BudgetExceeded, DomainError
 from dendromap.plmap import OMEGA
+from dendromap.rationals import parity_class
 from dendromap.tau12 import (
     TauEngine,
     make_tau_alpha,
@@ -452,3 +453,47 @@ def test_approx_eval_lipschitz(data, pick):
     u, v = eng.eval_approx(pick, tol), eng.eval_approx(other, tol)
     if pick != other:
         assert abs(u - v) < eng.lipschitz_budget * abs(pick - other)
+
+
+# Dyadics p/2^q of (0, 1) with q <= 10.
+_dyadics = st.integers(min_value=1, max_value=10).flatmap(
+    lambda q: st.integers(min_value=0, max_value=(1 << (q - 1)) - 1).map(
+        lambda k: F(2 * k + 1, 1 << q)
+    )
+)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("rounds"), st.integers(min_value=0, max_value=12)),
+        st.tuples(st.just("eval"), _dyadics),
+        st.tuples(st.just("preimages"), _dyadics),
+    ),
+    max_size=12,
+)
+
+
+def _brute_preimages(eng, v):
+    stage = eng.current_stage()
+    return [
+        x
+        for x, u in zip(stage.breakpoints[1:-1], stage.values[1:-1])
+        if u == v
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(build=st.sampled_from(ENGINE_POOL), ops=_ops)
+def test_preimages_match_a_node_scan(build, ops):
+    eng = build()
+    a, b = eng.domain
+    a2, b2 = eng.codomain
+    for kind, arg in ops:
+        if kind == "rounds":
+            eng.ensure_rounds(eng.round_count + arg)
+        elif kind == "eval":
+            if a < arg < b:
+                eng.eval_exact(arg)
+        elif a2 < arg < b2 and parity_class(arg) in eng.target_parity:
+            assert eng.preimages(arg) == _brute_preimages(eng, arg)
+    for c in (0, 1):
+        for v in sorted(eng.settled_targets(c)):
+            assert eng.preimages(v) == _brute_preimages(eng, v)
