@@ -16,12 +16,21 @@ family per round.  Every round runs two modifications with tolerance
 
 Picks are always the canonically first dyadic of the required parity inside
 an exactly computed open window, so a given call sequence reproduces the same
-stage bit for bit.  Each modification keeps, and immediately re-verifies, the
-stage invariants: endpoint values exact, every slope strictly below the
-Lipschitz budget, interior node values strictly between the codomain floor
-and the frame diagonal, and no non-constant segment whose open image meets a
-node value.  When the two target classes are disjoint the stage additionally
-stays strictly increasing.
+stage bit for bit.  Each modification keeps the stage invariants: endpoint
+values exact, every slope strictly below the Lipschitz budget, interior node
+values strictly between the codomain floor and the frame diagonal, and no
+non-constant segment whose open image meets a node value (strong linearity).
+When the two target classes are disjoint the stage additionally stays
+strictly increasing.
+
+Every commit checks, at a cost independent of the stage size: the step
+against the round's tolerance, the new value below the diagonal at each
+pick, the slopes of the two segments beside each pick, that no segment
+straddles the new value any more, and, in homeomorphism mode, the order
+around each pick.  The straddler lookup relies on strong linearity, and the
+local order check on the stage having been increasing before the commit;
+full strong linearity and full monotonicity are checked only by
+:meth:`TauEngine.verify_invariants`.
 
 Evaluation at unprocessed points enqueues them for their family's next
 rounds, so settled values depend on the engine's call history; any replay of
@@ -187,13 +196,24 @@ class TauEngine:
         return u0 + (u1 - u0) * (t - x0) / (x1 - x0)
 
     def _straddlers(self, rp: Fraction, skip: int | None = None) -> list[int]:
+        # Strong linearity (no open segment image holds a node value) puts the
+        # lower end of a segment straddling rp at a node carrying w < rp.
+        idx = bisect_left(self._vals_sorted, rp) - 1
+        if idx < 0:
+            return []
+        w = self._vals_sorted[idx]
+        ends = [self._a] if w == self._a2 else self._holders.get(w, ())
         hits = []
-        for i in range(len(self._nodes) - 1):
-            if i == skip:
-                continue
-            _, _, u0, u1 = self._seg(i)
-            if u0 != u1 and min(u0, u1) < rp < max(u0, u1):
-                hits.append(i)
+        # Holders ascend and a segment between two of them is constant, so
+        # the hits come out sorted and without repeats.
+        for x in ends:
+            k = bisect_left(self._nodes, x)
+            for i in (k - 1, k):
+                if i < 0 or i == skip:
+                    continue
+                _, _, u0, u1 = self._seg(i)
+                if u0 != u1 and min(u0, u1) < rp < max(u0, u1):
+                    hits.append(i)
         return hits
 
     def _largest_value_below(self, v: Fraction) -> Fraction:
@@ -324,12 +344,12 @@ class TauEngine:
                 x0, x1, u0, u1 = self._seg(lo_i)
                 if not abs(u1 - u0) < self._lip * (x1 - x0):
                     raise BudgetExceeded(f"{self._label}: slope bound broken at {x}")
+                # The stage was increasing before this commit, so only the
+                # two segments beside each pick can break the order.
+                if self._homeo and not u0 < u1:
+                    raise BudgetExceeded(f"{self._label}: monotonicity lost")
         if self._straddlers(rp):
             raise BudgetExceeded(f"{self._label}: value {rp} still straddled")
-        if self._homeo:
-            vals = [self._values[x] for x in self._nodes]
-            if any(v0 >= v1 for v0, v1 in zip(vals, vals[1:])):
-                raise BudgetExceeded(f"{self._label}: monotonicity lost")
 
     # -- public API -------------------------------------------------------
 

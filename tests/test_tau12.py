@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from dendromap.errors import BudgetExceeded, DomainError
 from dendromap.plmap import OMEGA
-from dendromap.rationals import parity_class
+from dendromap.rationals import first_dyadic_in, parity_class
 from dendromap.tau12 import (
     TauEngine,
     make_tau_alpha,
@@ -497,3 +497,117 @@ def test_preimages_match_a_node_scan(build, ops):
     for c in (0, 1):
         for v in sorted(eng.settled_targets(c)):
             assert eng.preimages(v) == _brute_preimages(eng, v)
+
+
+def _brute_straddlers(vals, rp, skip=None):
+    """The full segment scan that `_straddlers` replaces."""
+    return [
+        i
+        for i in range(len(vals) - 1)
+        if i != skip
+        and vals[i] != vals[i + 1]
+        and min(vals[i], vals[i + 1]) < rp < max(vals[i], vals[i + 1])
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    build=st.sampled_from(ENGINE_POOL),
+    start=st.integers(min_value=0, max_value=48),
+    ops=_ops,
+    data=st.data(),
+)
+def test_straddlers_match_a_segment_scan(build, start, ops, data):
+    eng = build()
+    eng.ensure_rounds(start)
+    a, b = eng.domain
+    for kind, arg in ops:
+        if kind == "rounds":
+            eng.ensure_rounds(eng.round_count + arg)
+        elif kind == "eval" and a < arg < b:
+            eng.eval_exact(arg)
+    a2, b2 = eng.codomain
+    vals = eng.current_stage().values
+    distinct = sorted(set(vals))
+    # Every node value and every gap midpoint, which reaches the narrow gaps
+    # under fold notches, where the straddlers decrease.
+    probes = distinct + [(u + v) / 2 for u, v in zip(distinct, distinct[1:])]
+    inside = _dyadics.map(lambda d: a2 + (b2 - a2) * d)
+    above_floor = st.integers(min_value=4, max_value=40).map(lambda q: a2 + F(1, 2**q))
+    probes += data.draw(st.lists(inside | above_floor, max_size=8))
+    skip = data.draw(st.integers(min_value=0, max_value=len(vals) - 2))
+    for rp in probes:
+        hits = _brute_straddlers(vals, rp)
+        assert eng._straddlers(rp) == hits
+        assert eng._straddlers(rp, skip) == _brute_straddlers(vals, rp, skip)
+        for i in hits:
+            assert eng._straddlers(rp, i) == [j for j in hits if j != i]
+
+
+class TestPerCommitChecks:
+    """Each commit checks its picks locally; a bad pick list must still raise."""
+
+    def test_omitted_straddler_is_caught(self):
+        eng = make_tau_alpha((F(1, 2), F(1, 4)))
+        eng.ensure_rounds(30)
+        assert not eng.is_homeomorphism_mode
+        c = 1
+        vals = eng.current_stage().values
+        values = sorted(set(vals))
+        gaps = (
+            first_dyadic_in(eng.target_parity[c], gap)
+            for gap in zip(values, values[1:])
+        )
+        rp = next(v for v in gaps if len(_brute_straddlers(vals, v)) >= 2)
+        hits = _brute_straddlers(vals, rp)
+        a2, b2 = eng.codomain
+        eps = b2 - a2
+        picks = [eng._cascade_pick(c, i, rp, eps) for i in hits[:-1]]
+        with pytest.raises(BudgetExceeded, match="still straddled"):
+            eng._commit(c, rp, picks, kind="target", base=None, eps=None)
+
+    def test_value_out_of_order_is_caught(self):
+        eng = make_tau_alpha((F(1, 2), F(1, 2)))
+        eng.ensure_rounds(6)
+        assert eng.is_homeomorphism_mode
+        stage = eng.current_stage()
+        nodes, vals = stage.breakpoints, stage.values
+        # A pick in segment (x0, x1) valued just above u1 turns (x, x1) down.
+        i = len(nodes) // 2
+        x0, x1, u0, u1 = nodes[i], nodes[i + 1], vals[i], vals[i + 1]
+        rp = u1 + F(1, 2**20)
+        c = eng.target_parity.index(parity_class(rp))
+        lip = eng.lipschitz_budget
+        # Both new slopes stay within the budget, so only the order is wrong.
+        x = first_dyadic_in(c, (x0 + (rp - u0) / lip, x1 - (rp - u1) / lip))
+        with pytest.raises(BudgetExceeded, match="monotonicity lost"):
+            eng._commit(c, rp, [x], kind="target", base=None, eps=None)
+
+
+def _seg_reads(build, n, monkeypatch):
+    eng = build()
+    eng.ensure_rounds(n)
+    reads = [0]
+    seg = TauEngine._seg
+
+    def counted(self, i):
+        reads[0] += 1
+        return seg(self, i)
+
+    with monkeypatch.context() as m:
+        m.setattr(TauEngine, "_seg", counted)
+        eng.ensure_rounds(n + 2)
+    return reads[0] / 2
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: make_tau_doubleprime(F(1, 2)), lambda: make_tau_alpha((F(1, 2), F(1, 4)))],
+    ids=["doubleprime", "arc-fold"],
+)
+def test_round_cost_does_not_grow_with_the_stage(build, monkeypatch):
+    """Segment reads per round stay bounded: no round scans the whole stage."""
+    at_100 = _seg_reads(build, 100, monkeypatch)
+    at_200 = _seg_reads(build, 200, monkeypatch)
+    assert at_100 < 64 and at_200 < 64
+    assert at_200 <= at_100
