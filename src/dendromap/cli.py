@@ -19,9 +19,9 @@ from .plmap import base_forward
 from .rationals import as_fraction, format_rational
 from .render import render_svg
 from .reports import canonical_json, exit_code, make_report
-from .space import CutPoint, EndPoint, cut, end, point_to_json
+from .space import EndPoint, cut, end, point_to_json
 from .suites import SUITE_NAMES, SuiteConfig, run_suites
-from .words import format_bits
+from .words import format_bits, parse_bits
 
 CACHE_ENV = "DENDROMAP_CACHE"
 
@@ -66,16 +66,11 @@ def parse_point(text: str):
 
 
 def format_point(x) -> str:
-    letters = ",".join(format_rational(a) for a in (x.word if isinstance(x, CutPoint) else x.prefix))
+    """The compact syntax :func:`parse_point` reads."""
     if isinstance(x, EndPoint):
-        return f"end:[{letters}]"
+        return "end:[{}]".format(",".join(format_rational(a) for a in x.prefix))
+    letters = ",".join(format_rational(a) for a in x.word)
     return f"cut:[{letters}],{format_rational(x.t)}"
-
-
-def parse_bits(text: str) -> tuple:
-    if not text or any(c not in "01" for c in text):
-        raise UsageError(f"parity targets are nonempty 0/1 strings, got {text!r}")
-    return tuple(int(c) for c in text)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -154,7 +149,7 @@ def cmd_orbit(args) -> int:
         raise UsageError("--n must be nonnegative and --m at least 1")
     ctx = _context(args)
     x = parse_point(args.start)
-    rows = []
+    visited = []  # (point, cell label) per step
     note = None
     for step in range(args.n + 1):
         try:
@@ -162,13 +157,7 @@ def cmd_orbit(args) -> int:
         except PrecisionError as exc:
             note = str(exc)
             break
-        rows.append(
-            {
-                "step": step,
-                "point": point_to_json(x),
-                "cell": format_bits(gamma) if gamma is not None else "-",
-            }
-        )
+        visited.append((x, format_bits(gamma) if gamma is not None else "-"))
         if step == args.n:
             break
         try:
@@ -177,14 +166,18 @@ def cmd_orbit(args) -> int:
             note = str(exc)
             break
     if args.format == "json":
+        rows = [
+            {"step": step, "point": point_to_json(x), "cell": cell}
+            for step, (x, cell) in enumerate(visited)
+        ]
         payload = {"m": args.m, "steps": rows}
         if note:
             payload["stopped"] = note
         _emit(canonical_json(payload), args.out)
     else:
         lines = [
-            "{}\t{}\t{}".format(row["step"], _point_text(row["point"]), row["cell"])
-            for row in rows
+            f"{step}\t{format_point(x)}\t{cell}"
+            for step, (x, cell) in enumerate(visited)
         ]
         if note:
             lines.append(f"# stopped early: {note}")
@@ -192,29 +185,16 @@ def cmd_orbit(args) -> int:
     return 3 if note else 0
 
 
-def _point_text(data: dict) -> str:
-    if "cut" in data:
-        letters = ",".join(data["cut"]["word"])
-        return f"cut:[{letters}],{data['cut']['t']}"
-    letters = ",".join(data["end"]["prefix"])
-    return f"end:[{letters}]"
-
-
 def cmd_witness(args) -> int:
     _require_format(args, "json")
     ctx = _context(args)
     alpha = parse_word(args.alpha)
     delta = parse_bits(args.delta)
-    try:
-        rec = ctx.transitivity_witness(
-            alpha, _fraction(args.target), delta, WitnessBudget()
-        )
-    except BudgetExceeded as exc:
-        sys.stderr.write(f"inconclusive: {exc}\n")
-        return 3
-    except DendromapError as exc:
-        sys.stderr.write(f"fail: {exc}\n")
-        return 1
+    # Errors reach main: malformed input exits 2, a spent budget 3, and only
+    # a record that fails forward verification 1.
+    rec = ctx.transitivity_witness(
+        alpha, _fraction(args.target), delta, WitnessBudget()
+    )
     payload = {
         "alpha": [format_rational(a) for a in rec.alpha],
         "target": format_rational(rec.s),

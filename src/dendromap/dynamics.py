@@ -42,6 +42,7 @@ from .plmap import OMEGA, base_backward, base_forward
 from .rationals import (
     as_fraction,
     canonical_min,
+    dyadic_grid,
     format_rational,
     is_dyadic,
     parity_class,
@@ -52,13 +53,13 @@ from .space import (
     EndPoint,
     LengthTable,
     PointRep,
+    arcs_of_skeleton,
     cut,
     distance,
     end,
     factor_distance,
     in_D_gamma,
     point_to_json,
-    seq_of,
 )
 from .tau0 import Tau0Engine
 from .tau12 import TauEngine, make_tau_alpha, make_tau_doubleprime, make_tau_prime
@@ -83,12 +84,11 @@ def _bit_at(bits: Bits, position: int, value_shift: int) -> int:
 class RhoContext:
     """Shared engine cache; all word and point dynamics go through one context."""
 
-    def __init__(self, max_rounds: int = 100_000, tau0_rounds: int = 512):
+    def __init__(self, tau0_rounds: int = 512):
         self._tau0 = Tau0Engine(max_rounds=tau0_rounds)
         self._prime: dict[Fraction, TauEngine] = {}
         self._dp: dict[Fraction, TauEngine] = {}
         self._alpha: dict[QWord, TauEngine] = {}
-        self._max_rounds = max_rounds
         self._table: Optional[LengthTable] = None
 
     @property
@@ -101,13 +101,13 @@ class RhoContext:
     def tau_prime(self, r) -> TauEngine:
         r = as_fraction(r)
         if r not in self._prime:
-            self._prime[r] = make_tau_prime(r, self.xi(r), max_rounds=self._max_rounds)
+            self._prime[r] = make_tau_prime(r, self.xi(r))
         return self._prime[r]
 
     def tau_dp(self, r) -> TauEngine:
         r = as_fraction(r)
         if r not in self._dp:
-            self._dp[r] = make_tau_doubleprime(r, max_rounds=self._max_rounds)
+            self._dp[r] = make_tau_doubleprime(r)
         return self._dp[r]
 
     def tau_alpha(self, alpha) -> TauEngine:
@@ -115,7 +115,7 @@ class RhoContext:
         if len(alpha) < 2:
             raise DomainError("arc engines need words of length at least 2")
         if alpha not in self._alpha:
-            self._alpha[alpha] = make_tau_alpha(alpha, max_rounds=self._max_rounds)
+            self._alpha[alpha] = make_tau_alpha(alpha)
         return self._alpha[alpha]
 
     @property
@@ -139,13 +139,15 @@ class RhoContext:
             return ()
         if len(alpha) == 1:
             return (self.xi(alpha[0]),)
-        if len(alpha) == 2:
-            r, s = alpha
-            if s < OMEGA:
-                return (self.tau_prime(r).eval_exact(s),)
-            return (self.xi(r), self.tau_dp(r).eval_exact(s))
-        head, s = alpha[:-1], alpha[-1]
-        return self.rho(head) + (self.tau_alpha(head).eval_exact(s),)
+        r, s = alpha[:2]
+        if s < OMEGA:
+            image = [self.tau_prime(r).eval_exact(s)]
+        else:
+            image = [self.xi(r), self.tau_dp(r).eval_exact(s)]
+        # Each later letter moves by the engine of the word before it.
+        for k in range(2, len(alpha)):
+            image.append(self.tau_alpha(alpha[:k]).eval_exact(alpha[k]))
+        return tuple(image)
 
     def rho_iterate(self, alpha, n: int) -> tuple[QWord, list[int]]:
         """n-fold image plus the descent profile of word lengths."""
@@ -199,7 +201,7 @@ class RhoContext:
 
     def apply_F(self, x: PointRep) -> PointRep:
         """Exact image of a point; raises PrecisionError where finite engine
-        state cannot pin the value (use apply_F_approx there)."""
+        state cannot pin the value (a non-dyadic parameter inside an arc)."""
         if isinstance(x, EndPoint):
             word = self.rho(x.prefix)
             if len(word) < 2:
@@ -219,26 +221,11 @@ class RhoContext:
             return cut((self.xi(r),), self._eval_or_raise(self.tau_dp(r), t))
         return cut(self.rho(w), self._eval_or_raise(self.tau_alpha(w), t))
 
-    def apply_F_approx(self, x: PointRep, tol) -> tuple[PointRep, Fraction]:
-        """Image with a certified parameter error bound (0 when exact)."""
-        tol = as_fraction(tol)
-        try:
-            return self.apply_F(x), Fraction(0)
-        except PrecisionError:
-            pass
-        w, t = x.word, x.t
-        if len(w) == 1:
-            r = w[0]
-            if t < OMEGA:
-                return cut((), self.tau_prime(r).eval_approx(t, tol)), tol
-            return cut((self.xi(r),), self.tau_dp(r).eval_approx(t, tol)), tol
-        return cut(self.rho(w), self.tau_alpha(w).eval_approx(t, tol)), tol
-
     @staticmethod
     def _eval_or_raise(engine: TauEngine, t: Fraction) -> Fraction:
         if 0 < t < 1 and not is_dyadic(t):
             raise PrecisionError(
-                f"parameter {t} is not exactly resolvable; use apply_F_approx"
+                f"parameter {t} is not a dyadic, so no settled value pins its image"
             )
         return engine.eval_exact(t)
 
@@ -585,29 +572,6 @@ class RhoContext:
             "unresolved": unresolved,
         }
 
-    def omega_limit_classify(self, x: CutPoint, horizon: int) -> str:
-        """Which endpoint the orbit settles toward: a-bound (bottom), b-bound
-        (top), or undecided within the horizon.
-
-        Short-circuits: param 1 is fixed by every arc map and its word chain
-        climbs toward the top end; a depth-1 point with param at or below the
-        split lands on the base arc interior next step and descends.
-        """
-        if not isinstance(x, CutPoint):
-            raise DomainError("limit classification takes cut points")
-        for _ in range(horizon + 1):
-            if x.t == 1:
-                return "b-bound"
-            if len(x.word) == 0:
-                return "a-bound"
-            if len(x.word) == 1 and x.t <= OMEGA:
-                return "a-bound"
-            try:
-                x = self.apply_F(x)
-            except (PrecisionError, BudgetExceeded):
-                return "undecided"
-        return "undecided"
-
     # -- entropy and Lipschitz certificates ----------------------------
 
     def horseshoe_certificate(self, m: int) -> "HorseshoeCertificate":
@@ -736,18 +700,6 @@ class WitnessRecord:
     profile: tuple[int, ...]
     levels: tuple[dict, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "alpha": [format_rational(a) for a in self.alpha],
-            "s": format_rational(self.s),
-            "delta": format_bits(self.delta),
-            "n": self.n,
-            "c": self.c,
-            "u": format_rational(self.u),
-            "profile": list(self.profile),
-            "levels": list(self.levels),
-        }
-
 
 @dataclass(frozen=True)
 class ImageDescription:
@@ -757,24 +709,6 @@ class ImageDescription:
     base: QWord
     child_parity: Optional[int] = None
     segment: Optional[tuple[Fraction, Fraction]] = None
-
-    def contains(self, x: PointRep) -> bool:
-        seq = x.prefix if isinstance(x, EndPoint) else seq_of(x)
-        b = len(self.base)
-        if self.case == "subtree":
-            return len(seq) >= b and seq[:b] == self.base
-        if self.case == "arc-with-fans":
-            if len(seq) < b or seq[:b] != self.base:
-                return False
-            if len(seq) <= b + 1:
-                return True
-            return parity_class(seq[b]) == self.child_parity
-        lo, hi = self.segment
-        if len(seq) == 0:
-            return lo <= 0
-        if len(seq) == 1:
-            return lo <= seq[0] <= hi
-        return parity_class(seq[0]) == self.child_parity and lo < seq[0] <= hi
 
     def contains_subtree(self, word) -> bool:
         word = as_word(word)
@@ -793,14 +727,6 @@ class ImageDescription:
             and parity_class(word[0]) == self.child_parity
             and lo < word[0] <= hi
         )
-
-    def to_json(self) -> dict:
-        out = {"case": self.case, "base": [format_rational(a) for a in self.base]}
-        if self.child_parity is not None:
-            out["child_parity"] = self.child_parity
-        if self.segment is not None:
-            out["segment"] = [format_rational(v) for v in self.segment]
-        return out
 
 
 @dataclass(frozen=True)
@@ -828,12 +754,6 @@ class CylinderSpec:
             and parity_word(word) == self.parity
         )
 
-    def to_json(self) -> dict:
-        return {
-            "base": [format_rational(a) for a in self.base],
-            "parity": format_bits(self.parity),
-        }
-
 
 @dataclass(frozen=True)
 class HorseshoeCertificate:
@@ -853,21 +773,6 @@ class HorseshoeCertificate:
     def entropy_log_base(self) -> int:
         return 2
 
-    def entropy_lower_bound(self) -> float:
-        import math
-
-        return float(self.entropy_coefficient) * math.log(self.entropy_log_base)
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "rungs": {str(j): format_rational(v) for j, v in self.rungs.items()},
-            "single_steps": list(self.single_steps),
-            "assembly": self.assembly,
-            "entropy": {"coefficient": "1/2", "log_base": 2},
-            "verified": self.verified,
-        }
-
 
 @dataclass(frozen=True)
 class ScanGrid:
@@ -879,21 +784,8 @@ class ScanGrid:
     def points(self, depth: int) -> list[CutPoint]:
         if depth < 1:
             raise DomainError("scan depth must be positive")
-        letters = [
-            Fraction(p, 2**q)
-            for q in range(1, self.letter_exponent + 1)
-            for p in range(1, 2**q, 2)
-        ]
-        params = [Fraction(0), Fraction(1)] + [
-            Fraction(p, 2**q)
-            for q in range(1, self.param_exponent + 1)
-            for p in range(1, 2**q, 2)
-        ]
-        words: list[QWord] = [()]
-        frontier: list[QWord] = [()]
-        for _ in range(depth - 1):
-            frontier = [w + (r,) for w in frontier for r in sorted(letters)]
-            words.extend(frontier)
+        words = arcs_of_skeleton(depth - 1, dyadic_grid(self.letter_exponent))
+        params = [Fraction(0), Fraction(1)] + dyadic_grid(self.param_exponent)
         out: list[CutPoint] = []
         seen = set()
         for w in words:

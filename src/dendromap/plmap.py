@@ -62,9 +62,6 @@ class PLMap:
             for (x0, x1, y0, y1) in zip(self.xs, self.xs[1:], self.ys, self.ys[1:])
         ]
 
-    def lipschitz(self) -> Fraction:
-        return max(abs(s) for s in self.slopes())
-
     def is_strictly_increasing(self) -> bool:
         return all(y0 < y1 for y0, y1 in zip(self.ys, self.ys[1:]))
 
@@ -82,39 +79,6 @@ class PLMap:
         y0, y1 = self.ys[i], self.ys[i + 1]
         return x0 + (v - y0) * (x1 - x0) / (y1 - y0)
 
-    def preimages(self, v: Fraction) -> list[Fraction]:
-        """All solutions of f(t) = v, one per crossing segment.
-
-        Constant segments at level ``v`` have an interval of solutions and
-        are rejected.
-        """
-        v = Fraction(v)
-        out: list[Fraction] = []
-        for i in range(len(self.xs) - 1):
-            x0, x1 = self.xs[i], self.xs[i + 1]
-            y0, y1 = self.ys[i], self.ys[i + 1]
-            lo, hi = min(y0, y1), max(y0, y1)
-            if y0 == y1:
-                if v == y0:
-                    raise DomainError("constant segment at the requested level")
-                continue
-            if lo <= v <= hi:
-                t = x0 + (v - y0) * (x1 - x0) / (y1 - y0)
-                if not out or out[-1] != t:
-                    out.append(t)
-        return out
-
-    def iterate(self, t: Fraction, n: int) -> Fraction:
-        """n-fold forward iterate (negative n inverts; needs monotonicity)."""
-        t = Fraction(t)
-        if n >= 0:
-            for _ in range(n):
-                t = self.apply(t)
-        else:
-            for _ in range(-n):
-                t = self.invert(t)
-        return t
-
 
 #: The base homeomorphism of [0, 1].
 BASE_MAP = PLMap(
@@ -129,10 +93,6 @@ def base_forward(t: Fraction) -> Fraction:
 
 def base_backward(v: Fraction) -> Fraction:
     return BASE_MAP.invert(v)
-
-
-def base_iterate(t: Fraction, n: int) -> Fraction:
-    return BASE_MAP.iterate(t, n)
 
 
 def frame_diagonal(

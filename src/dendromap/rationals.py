@@ -14,8 +14,6 @@ from typing import Iterable, Iterator
 
 from .errors import BudgetExceeded, DomainError
 
-ExactRational = Fraction
-
 #: Defensive cap on the exponent scanned by :func:`dyadics_in`.  A scan for
 #: a first free point of a nonempty open interval always terminates long
 #: before this; hitting the cap indicates a caller bug (empty interval passed
@@ -85,6 +83,16 @@ def canonical_enumeration() -> Iterator[Fraction]:
         for p in range(1, denom, 2):
             yield Fraction(p, denom)
         q += 1
+
+
+def dyadic_grid(k: int) -> list[Fraction]:
+    """The first 2**k - 1 dyadics of the canonical enumeration.
+
+    These are all p / 2**q with 1 <= q <= k, in canonical order; callers that
+    need numeric order sort the list.
+    """
+    dyadics = canonical_enumeration()
+    return [next(dyadics) for _ in range((1 << k) - 1)]
 
 
 def canonical_key(x: Fraction) -> tuple[int, int]:

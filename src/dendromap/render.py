@@ -10,9 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from fractions import Fraction
-
 from .errors import BudgetExceeded, DomainError
+from .rationals import dyadic_grid
 from .space import LengthTable, CutPoint, PointRep, arcs_of_skeleton
 from .words import QWord
 
@@ -35,11 +34,7 @@ class Segment:
 def skeleton_layout(table: LengthTable, m: int, letter_exponent: int = 2) -> dict:
     if m < 0:
         raise DomainError("skeleton depth must be nonnegative")
-    letters = [
-        Fraction(p, 2**q)
-        for q in range(1, letter_exponent + 1)
-        for p in range(1, 2**q, 2)
-    ]
+    letters = dyadic_grid(letter_exponent)
     segments: dict[QWord, Segment] = {}
     headings: dict[QWord, float] = {(): 0.0}
     segments[()] = Segment((), 0.0, 0.0, 1.0, 0.0)
@@ -85,7 +80,6 @@ def render_svg(
     m: int,
     letter_exponent: int = 2,
     orbit=(),
-    size: int = 900,
 ) -> str:
     layout = skeleton_layout(table, m, letter_exponent)
     xs = [v for s in layout.values() for v in (s.x0, s.x1)]
@@ -94,8 +88,8 @@ def render_svg(
     x0, y0 = min(xs) - pad, min(ys) - pad
     w, h = max(xs) - min(xs) + 2 * pad, max(ys) - min(ys) + 2 * pad
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{size * h / w:.0f}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="900" '
+        f'height="{900 * h / w:.0f}" '
         f'viewBox="{x0:.6f} {y0:.6f} {w:.6f} {h:.6f}">'
     ]
     ordered = sorted(layout.values(), key=lambda s: (s.depth, s.word))

@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Union
 
 from .errors import BudgetExceeded, DomainError, PrecisionError
 from .rationals import as_fraction, dyadic_parts, format_rational, is_dyadic
-from .words import Bits, QWord, as_word, odometer_add, parity_word
+from .words import QWord, as_word, parity_word
 
 #: Defensive cap on length-recursion descent; the shortening map must reach a
 #: shorter word well before this.
@@ -49,9 +49,6 @@ class Interval:
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    def contains(self, x) -> bool:
-        return self.lo <= as_fraction(x) <= self.hi
 
     def __add__(self, other: "Interval") -> "Interval":
         return Interval(self.lo + other.lo, self.hi + other.hi)
@@ -93,14 +90,6 @@ def end(prefix) -> EndPoint:
     return EndPoint(prefix)
 
 
-def branch_point(word) -> CutPoint:
-    """The attachment point of the arc named by a nonempty word."""
-    word = as_word(word)
-    if not word:
-        return CutPoint((), Fraction(0))
-    return CutPoint(word[:-1], word[-1])
-
-
 ROOT = CutPoint((), Fraction(0))
 TOP = CutPoint((), Fraction(1))
 
@@ -119,24 +108,6 @@ def point_to_json(x: PointRep) -> dict:
             "depth": x.depth,
         }
     }
-
-
-def point_from_json(data: dict) -> PointRep:
-    if not isinstance(data, dict) or len(data) != 1:
-        raise DomainError(f"not a point literal: {data!r}")
-    if "cut" in data:
-        body = data["cut"]
-        return cut([as_fraction(r) for r in body["word"]], as_fraction(body["t"]))
-    if "end" in data:
-        body = data["end"]
-        point = end([as_fraction(r) for r in body["prefix"]])
-        declared = body.get("depth", point.depth)
-        if declared != point.depth:
-            raise DomainError(
-                f"declared depth {declared} does not match prefix length {point.depth}"
-            )
-        return point
-    raise DomainError(f"not a point literal: {data!r}")
 
 
 def seq_of(x: CutPoint) -> tuple[Fraction, ...]:
@@ -256,13 +227,6 @@ def _end_end(x: EndPoint, y: EndPoint, table: LengthTable) -> Interval:
     return Interval(known, known + tails)
 
 
-def distance_interval(x: PointRep, y: PointRep, table: LengthTable) -> Interval:
-    d = distance(x, y, table)
-    if isinstance(d, Interval):
-        return d
-    return Interval(d, d)
-
-
 def in_D_gamma(x: PointRep, gamma) -> str:
     """Classify a point against one cover cell: interior, boundary, outside."""
     gamma = tuple(int(c) for c in gamma)
@@ -281,21 +245,6 @@ def in_D_gamma(x: PointRep, gamma) -> str:
         return "interior" if parity_word(x.word[:m]) == gamma else "outside"
     pw = parity_word(x.word)
     return "boundary" if pw == gamma[: len(pw)] else "outside"
-
-
-@dataclass(frozen=True)
-class DecompositionCell:
-    gamma: Bits
-
-    def __post_init__(self):
-        if any(c not in (0, 1) for c in self.gamma):
-            raise DomainError(f"not a parity word: {self.gamma!r}")
-
-    def classify(self, x: PointRep) -> str:
-        return in_D_gamma(x, self.gamma)
-
-    def successor(self) -> "DecompositionCell":
-        return DecompositionCell(odometer_add(self.gamma, 1))
 
 
 def retraction(x: PointRep, m: int) -> CutPoint:

@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 
 from .dynamics import RhoContext, ScanGrid, WitnessBudget
 from .errors import BudgetExceeded, DendromapError, DomainError, PrecisionError
-from .plmap import OMEGA, base_forward
-from .rationals import canonical_enumeration, format_rational, parity_class
+from .plmap import base_forward
+from .rationals import canonical_enumeration, dyadic_grid, format_rational, parity_class
 from .reports import Entry
 from .space import cut, distance, end, in_D_gamma
 from .tau0 import Tau0Engine
@@ -34,7 +34,7 @@ from .tau12 import (
     make_tau_prime,
     replay_check,
 )
-from .words import odometer_add, parity_word
+from .words import carry_letter, odometer_add, parity_word
 
 F = Fraction
 
@@ -84,18 +84,6 @@ def _fr(x) -> str:
     return format_rational(x)
 
 
-def _pool(max_exponent: int) -> list[Fraction]:
-    out = []
-    for q in range(1, max_exponent + 1):
-        out.extend(F(p, 2**q) for p in range(1, 2**q, 2))
-    return out
-
-
-def _dyadic_params(max_exponent: int) -> list[Fraction]:
-    seen = sorted(set(_pool(max_exponent)))
-    return seen
-
-
 # -- word lifting ------------------------------------------------------
 
 
@@ -105,13 +93,6 @@ def _shallow_pick(rng: random.Random, options):
     if len(ranked) > 1 and rng.random() < 0.3:
         return ranked[1]
     return ranked[0]
-
-
-def _forced_bit(bits, target_parity: int) -> int:
-    """Domain parity the carry rule forces on the next appended letter."""
-    if all(b == 1 for b in bits):
-        return 1 - target_parity
-    return target_parity
 
 
 def _fold_lift(ctx: RhoContext, rng: random.Random, beta, pool):
@@ -137,7 +118,7 @@ def _fold_lift(ctx: RhoContext, rng: random.Random, beta, pool):
     for r0 in heads:
         cands = ctx.tau_prime(r0).preimages(beta[0])
         if n >= 2:
-            want = _forced_bit((1 - pb[0],), pb[1])
+            want = carry_letter((1 - pb[0], pb[1]))
             cands = [s for s in cands if parity_class(s) == want]
         if not cands:
             continue
@@ -151,7 +132,7 @@ def _fold_lift(ctx: RhoContext, rng: random.Random, beta, pool):
                 ok = False
                 break
             if i + 1 < n:
-                want = _forced_bit(bits, pb[i + 1])
+                want = carry_letter(bits + [pb[i + 1]])
                 options = [u for u in options if parity_class(u) == want]
             if not options:
                 ok = False
@@ -181,7 +162,7 @@ def lifted_words(
     tail of ``homeo_steps`` length-preserving lifts guarantees that many
     fold-free forward steps before the first length drop.
     """
-    pool = _pool(3)
+    pool = dyadic_grid(3)
     out = []
     starving = 0
     while len(out) < count:
@@ -357,7 +338,7 @@ def suite_tau12(config: SuiteConfig) -> list[Entry]:
 
 def suite_rho(ctx: RhoContext, config: SuiteConfig) -> list[Entry]:
     rng = random.Random(config.seed)
-    pool = _pool(3)
+    pool = dyadic_grid(3)
 
     law_ok = 0
     for _ in range(config.words):
@@ -405,8 +386,8 @@ def suite_rho(ctx: RhoContext, config: SuiteConfig) -> list[Entry]:
 
 
 def _interior_samples(rng: random.Random, m: int, count: int):
-    letters = _pool(2)
-    params = _dyadic_params(6)
+    letters = dyadic_grid(2)
+    params = sorted(dyadic_grid(6))
     combos = []
     for length in (m, m + 1):
         for word in itertools.product(letters, repeat=length):
@@ -510,7 +491,7 @@ def suite_metric(ctx: RhoContext, config: SuiteConfig) -> list[Entry]:
     rng = random.Random(config.seed + 2)
     table = ctx.length_table()
     words = lifted_words(ctx, rng, 40, max_len=3)
-    params = _dyadic_params(5)
+    params = sorted(dyadic_grid(5))
     points = [cut((), rng.choice(params))]
     for word in words:
         points.append(cut(word, rng.choice(params)))
@@ -600,7 +581,7 @@ def suite_horseshoe(ctx: RhoContext, config: SuiteConfig) -> list[Entry]:
 
 
 def _lip_pairs_arc(ctx, rng, word, count):
-    params = _dyadic_params(6)
+    params = sorted(dyadic_grid(6))
     pairs = []
     while len(pairs) < count:
         a, b = rng.sample(params, 2)
@@ -610,7 +591,7 @@ def _lip_pairs_arc(ctx, rng, word, count):
 
 def _child_letters(ctx, rng, word, want):
     """Extension letters whose images keep to settled forward descents."""
-    targets = _pool(3)
+    targets = dyadic_grid(3)
     letters = []
     for v in targets:
         try:
@@ -635,7 +616,7 @@ def suite_lipschitz(ctx: RhoContext, config: SuiteConfig) -> list[Entry]:
         )
 
         children = _child_letters(ctx, rng, word, 3)
-        params = _dyadic_params(6)
+        params = sorted(dyadic_grid(6))
         pairs = []
         arcs = [word] + [word + (c,) for c in children]
         while len(pairs) < config.pairs:
@@ -685,12 +666,12 @@ def suite_lipschitz(ctx: RhoContext, config: SuiteConfig) -> list[Entry]:
 
 def _curated_two_letter(ctx: RhoContext, count: int):
     """Start words whose backward ladders stay inside the round budget."""
-    zs = _pool(3) + [ctx.tau0.rung(j) for j in (-2, -1, 0, 1)]
+    zs = dyadic_grid(3) + [ctx.tau0.rung(j) for j in (-2, -1, 0, 1)]
     alphas = []
     for z in zs:
         hi = ctx.xi(z)
         family = 1 - parity_class(z)
-        for v in _pool(3):
+        for v in dyadic_grid(3):
             if parity_class(v) != family or not base_forward(z) < v < hi:
                 continue
             low = ctx.tau_prime(z).preimages(v)
@@ -708,7 +689,7 @@ def suite_witness(ctx: RhoContext, config: SuiteConfig) -> list[Entry]:
     budget = WitnessBudget()
     targets = [F(1, 2), F(1, 4), F(3, 8)]
     singles = []
-    for r in _pool(3):
+    for r in dyadic_grid(3):
         for s in targets:
             for bit in (0, 1):
                 singles.append(((r,), s, (bit,)))
@@ -746,7 +727,7 @@ def suite_witness(ctx: RhoContext, config: SuiteConfig) -> list[Entry]:
     bases = lifted_words(
         ctx, rng, 2, max_len=3, min_len=2, homeo_steps=4
     )
-    ext_pool = _pool(3)
+    ext_pool = dyadic_grid(3)
     for base in bases:
         for n in range(1, 5):
             for dlen in range(1, 4):
@@ -810,22 +791,10 @@ def run_suites(names: Sequence[str], config: SuiteConfig) -> list[Entry]:
     for name in SUITE_NAMES:
         if name not in names:
             continue
-        if name == "tau0":
-            entries.extend(suite_tau0(config))
-        elif name == "tau12":
-            entries.extend(suite_tau12(config))
-        elif name == "rho":
-            entries.extend(suite_rho(ctx, config))
-        elif name == "decomposition":
-            entries.extend(suite_decomposition(ctx, config))
-        elif name == "metric":
-            entries.extend(suite_metric(ctx, config))
-        elif name == "period":
-            entries.extend(suite_period(ctx, config))
-        elif name == "horseshoe":
-            entries.extend(suite_horseshoe(ctx, config))
-        elif name == "lipschitz":
-            entries.extend(suite_lipschitz(ctx, config))
-        elif name == "witness":
-            entries.extend(suite_witness(ctx, config))
+        # Looked up per call, so a suite replaced on the module is the one run.
+        suite = globals()[f"suite_{name}"]
+        if name in ("tau0", "tau12"):
+            entries.extend(suite(config))
+        else:
+            entries.extend(suite(ctx, config))
     return entries

@@ -403,20 +403,6 @@ class Tau0Engine:
     def xi_items(self):
         return self._xi.items()
 
-    def rung_items(self):
-        return sorted(self._rungs.items())
-
-    @property
-    def assigned_count(self) -> int:
-        return len(self._role)
-
-    def deviation_set(self, eps: Fraction) -> set[Fraction]:
-        """Settled points whose step exceeds eps: {x : xi(x) - phi(x) > eps}."""
-        eps = Fraction(eps)
-        return {
-            x for x, v in self._xi.items() if v - base_forward(x) > eps
-        }
-
     def state_digest(self) -> str:
         payload = {
             "round": self._round,

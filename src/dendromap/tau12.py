@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceeded, DomainError
-from .plmap import OMEGA, ONE, ZERO, PLMap, base_forward, frame_diagonal
+from .plmap import OMEGA, ONE, ZERO, base_forward, frame_diagonal
 from .rationals import (
     as_fraction,
     dyadics_in,
@@ -72,12 +72,6 @@ class PLStage:
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
     lipschitz: Fraction
-
-    def as_plmap(self) -> PLMap:
-        return PLMap(self.breakpoints, self.values)
-
-    def slopes(self) -> tuple[Fraction, ...]:
-        return self.as_plmap().slopes()
 
 
 class TauEngine:
@@ -384,11 +378,6 @@ class TauEngine:
     @property
     def node_count(self) -> int:
         return len(self._nodes)
-
-    def settled_count(self, c: int | None = None) -> int:
-        if c is None:
-            return len(self._settled_by[0]) + len(self._settled_by[1])
-        return len(self._settled_by[c])
 
     def settled_points(self, c: int) -> frozenset:
         return frozenset(self._settled_by[c])

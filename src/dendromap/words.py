@@ -9,7 +9,7 @@ overflow beyond the last position discarded.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import DomainError
 from .rationals import as_fraction, is_dyadic, parity_class
@@ -69,25 +69,12 @@ def carry_letter(bits: Sequence[int]) -> int:
     return bits[-1]
 
 
-def truncate(word: Sequence, k: int) -> tuple:
-    """Prefix of length ``k`` (whole word when shorter)."""
-    if k < 0:
-        raise DomainError("truncation length must be nonnegative")
-    return tuple(word[:k])
-
-
 def parse_bits(text: str) -> Bits:
-    """Parse a cell label like ``"010"`` into a parity word."""
-    if not all(ch in "01" for ch in text):
-        raise DomainError(f"cell labels are over 0/1, got {text!r}")
+    """Parse a nonempty parity word written over 0/1, like ``"010"``."""
+    if not text or any(ch not in "01" for ch in text):
+        raise DomainError(f"parity words are nonempty 0/1 strings, got {text!r}")
     return tuple(int(ch) for ch in text)
 
 
 def format_bits(bits: Sequence[int]) -> str:
     return "".join(str(b) for b in as_bits(bits))
-
-
-def all_bit_words(m: int) -> Iterator[Bits]:
-    """All parity words of length ``m`` in numeric order of their reversal."""
-    for value in range(1 << m):
-        yield tuple((value >> i) & 1 for i in range(m))

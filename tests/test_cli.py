@@ -99,6 +99,24 @@ def test_orbit_reports_early_stop(capsys):
     assert len(payload["steps"]) >= 2
 
 
+def test_orbit_text_root_cut(capsys):
+    code, out, _ = run(capsys, "orbit", "--start", "cut:[],1/2", "--n", "1")
+    assert code == 0
+    assert out == "0\tcut:[],1/2\t-\n1\tcut:[],1/4\t-\n"
+
+
+def test_orbit_text_end_prefix(capsys):
+    code, out, _ = run(
+        capsys, "orbit", "--start", "end:[" + ",".join(["1/2"] * 6) + "]", "--n", "2"
+    )
+    assert code == 0
+    assert out == (
+        "0\tend:[1/2,1/2,1/2,1/2,1/2,1/2]\t11\n"
+        "1\tend:[17/64,1/16,1/4,1/4,1/4,5/16]\t00\n"
+        "2\tend:[69/512,1/16,1/16,1/16,9/64]\t10\n"
+    )
+
+
 def test_orbit_bad_point_syntax(capsys):
     code, _, err = run(capsys, "orbit", "--start", "mid:[1/2],1/2")
     assert code == 2 and "point syntax" in err
@@ -121,6 +139,18 @@ def test_witness_bad_delta(capsys):
         capsys, "witness", "--alpha", "1/2", "--target", "1/2", "--delta", "02"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "alpha,target,delta",
+    [("", "1/2", "0"), ("1/2", "1/3", "0"), ("1/2", "1/2", "01")],
+)
+def test_witness_malformed_request_is_a_usage_error(capsys, alpha, target, delta):
+    code, out, err = run(
+        capsys, "witness", "--alpha", alpha, "--target", target, "--delta", delta
+    )
+    assert code == 2
+    assert out == "" and err.startswith("usage error:")
 
 
 def test_render_shallow(tmp_path, capsys):
