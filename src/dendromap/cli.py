@@ -9,9 +9,8 @@ Exit codes: 0 pass, 1 fail, 2 usage error, 3 inconclusive.
 """
 
 import argparse
-import os
 import sys
-from typing import Optional, Sequence
+from typing import Optional
 
 from .dynamics import RhoContext, WitnessBudget
 from .errors import BudgetExceeded, DendromapError, DomainError, PrecisionError
@@ -23,7 +22,8 @@ from .space import EndPoint, cut, end, point_to_json
 from .suites import SUITE_NAMES, SuiteConfig, run_suites
 from .words import format_bits, parse_bits
 
-CACHE_ENV = "DENDROMAP_CACHE"
+#: Largest skeleton ``render`` draws; layout time grows with the arc count.
+MAX_RENDER_ARCS = 4096
 
 
 class UsageError(Exception):
@@ -92,26 +92,22 @@ def _context(args) -> RhoContext:
 
 def cmd_verify(args) -> int:
     _require_format(args, "json")
-    if args.suite == "all":
-        names: Sequence[str] = SUITE_NAMES
-    else:
-        names = tuple(s.strip() for s in args.suite.split(",") if s.strip())
-        unknown = [n for n in names if n not in SUITE_NAMES]
-        if not names or unknown:
-            raise UsageError(
-                f"--suite takes 'all' or names from {', '.join(SUITE_NAMES)}"
-            )
+    names = SUITE_NAMES if args.suite == "all" else [
+        s.strip() for s in args.suite.split(",") if s.strip()
+    ]
+    if not names or not set(names) <= set(SUITE_NAMES):
+        raise UsageError(f"--suite takes 'all' or names from {', '.join(SUITE_NAMES)}")
     overrides = {
         key: getattr(args, key)
         for key in ("depth", "horizon", "budget", "samples", "seed", "m")
         if getattr(args, key) is not None
     }
-    overrides["cache_dir"] = os.environ.get(CACHE_ENV) or None
+    config = SuiteConfig(**overrides)  # a bad --m raises DomainError: exit 2
+    # Flags are all checked by now, so a domain error inside the run is a fault.
     try:
-        config = SuiteConfig(**overrides)
         entries = run_suites(names, config)
     except DomainError as exc:
-        raise UsageError(str(exc))
+        raise DendromapError(str(exc)) from exc
     report = make_report(config.to_json(), entries)
     _emit(canonical_json(report), args.out)
     return exit_code(report)
@@ -213,6 +209,11 @@ def cmd_render(args) -> int:
     _require_format(args, "svg")
     if not 1 <= args.m <= 4:
         raise UsageError("--m must be between 1 and 4 for rendering")
+    # The skeleton has sum over i <= m of (2^letters - 1)^i arcs.
+    if not 0 <= args.letters <= 12 or sum(
+        ((1 << args.letters) - 1) ** i for i in range(args.m + 1)
+    ) > MAX_RENDER_ARCS:
+        raise UsageError(f"--letters must keep the skeleton to {MAX_RENDER_ARCS} arcs")
     ctx = _context(args)
     orbit = []
     if args.start:
@@ -244,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", default="all", help="'all' or comma-separated suite names")
-    p.add_argument("--m", type=int, default=None, help="restrict cover depth")
+    p.add_argument("--m", type=int, default=None, help="restrict cover depth, 1 to 4")
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
@@ -276,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="draw a finite skeleton as SVG")
     p.add_argument("--m", type=int, required=True, help="skeleton depth, at most 4")
-    p.add_argument("--letters", type=int, default=2, help="letter grid exponent")
+    p.add_argument("--letters", type=int, default=2, help="letter grid exponent, at most 4096 arcs")
     p.add_argument("--start", help="optional orbit overlay start point")
     p.add_argument("--n", type=int, default=8, help="overlay orbit length")
     common(p, "svg")
@@ -292,10 +293,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return 2
-    except DomainError as exc:
+    except (UsageError, DomainError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
     except (PrecisionError, BudgetExceeded) as exc:

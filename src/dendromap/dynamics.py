@@ -286,32 +286,20 @@ class RhoContext:
     def decomposition_audit(self, m: int, samples) -> dict:
         if m < 1:
             raise DomainError("cover audits start at depth 1")
-        entries = []
         counts = {"pass": 0, "fail": 0, "boundary": 0, "inconclusive": 0}
         for x in samples:
-            entry = {"point": point_to_json(x)}
             try:
                 gamma = self.cell_of(x, m)
                 if gamma is None:
-                    entry["verdict"] = "boundary"
+                    verdict = "boundary"
                 else:
-                    entry["cell"] = format_bits(gamma)
-                    successor = odometer_add(gamma, 1)
                     y = self.apply_F(x)
-                    verdict = in_D_gamma(y, successor)
-                    entry["verdict"] = "pass" if verdict != "outside" else "fail"
-            except (PrecisionError, BudgetExceeded) as exc:
-                entry["verdict"] = "inconclusive"
-                entry["reason"] = str(exc)
-            counts[entry["verdict"]] += 1
-            entries.append(entry)
-        return {
-            "depth": m,
-            "checked": len(entries),
-            "counts": counts,
-            "ok": counts["fail"] == 0,
-            "entries": entries,
-        }
+                    inside = in_D_gamma(y, odometer_add(gamma, 1)) != "outside"
+                    verdict = "pass" if inside else "fail"
+            except (PrecisionError, BudgetExceeded):
+                verdict = "inconclusive"
+            counts[verdict] += 1
+        return {"counts": counts, "ok": counts["fail"] == 0}
 
     # -- symbolic images -----------------------------------------------
 
@@ -539,6 +527,7 @@ class RhoContext:
     def fixed_periodic_scan(
         self, depth: int, period_bound: int, grid: "ScanGrid" = None
     ) -> dict:
+        """Grid points whose orbit returns within ``period_bound`` steps."""
         grid = grid or ScanGrid()
         points = grid.points(depth)
         fixed, periodic = [], []
@@ -561,11 +550,8 @@ class RhoContext:
                 unresolved += 1
                 continue
             if period is not None:
-                record = {"point": point_to_json(x), "period": period}
-                (fixed if period == 1 else periodic).append(record)
+                (fixed if period == 1 else periodic).append(x)
         return {
-            "depth": depth,
-            "period_bound": period_bound,
             "scanned": len(points),
             "fixed": fixed,
             "periodic": periodic,
@@ -622,12 +608,10 @@ class RhoContext:
             if len(word) < 2:
                 raise DomainError("arc and subtree audits need length >= 2")
             m = len(word)
-            scope_json = [kind, [format_rational(a) for a in word]]
         elif kind == "factor":
             m = int(scope[1])
             if m < 2:
                 raise DomainError("factor audits start at depth 2")
-            scope_json = [kind, m]
         else:
             raise DomainError(f"unknown audit scope {kind!r}")
         bound = Fraction((m + 1) ** 4, m**4)
@@ -658,7 +642,6 @@ class RhoContext:
             if ratio > bound:
                 violations += 1
         return {
-            "scope": scope_json,
             "bound": format_rational(bound),
             "checked": checked,
             "skipped": skipped,

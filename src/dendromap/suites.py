@@ -14,8 +14,6 @@ forward orbits stay inside settled territory.
 """
 
 import itertools
-import json
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +24,7 @@ from .errors import BudgetExceeded, DendromapError, DomainError, PrecisionError
 from .plmap import base_forward
 from .rationals import canonical_enumeration, dyadic_grid, format_rational, parity_class
 from .reports import Entry
-from .space import cut, distance, end, in_D_gamma
+from .space import ROOT, TOP, cut, distance, end, in_D_gamma
 from .tau0 import Tau0Engine
 from .tau12 import (
     make_tau_alpha,
@@ -70,18 +68,24 @@ class SuiteConfig:
     budget: int = 512
     seed: int = 0
     m: Optional[int] = None
-    cache_dir: Optional[str] = None
+
+    def __post_init__(self):
+        if self.m is not None and not 1 <= self.m <= 4:
+            raise DomainError("cover depth m must be between 1 and 4")
 
     def to_json(self) -> dict:
-        payload = {
-            k: v for k, v in self.__dict__.items() if k != "cache_dir"
-        }
-        payload["cache_dir"] = bool(self.cache_dir)
-        return payload
+        # Kept from the retired dump-cache option so report bytes stay stable.
+        return {**self.__dict__, "cache_dir": False}
 
 
-def _fr(x) -> str:
-    return format_rational(x)
+def _tally(entry_id: str, ref: str, checked: int, passed: int) -> Entry:
+    """A count entry: pass when at least one check ran and every one passed."""
+    return Entry(
+        id=entry_id,
+        ref=ref,
+        verdict="pass" if checked and passed == checked else "fail",
+        detail={"checked": checked, "passed": passed},
+    )
 
 
 # -- word lifting ------------------------------------------------------
@@ -235,48 +239,38 @@ def suite_tau0(config: SuiteConfig) -> list[Entry]:
         closure += eng.eval(eng.backward_step(v)) == v
 
     n = config.stages
-
-    def entry(claim, ref, good, total):
-        verdict = "pass" if good == total else "fail"
-        return Entry(
-            id=f"tau0/{claim}",
-            ref=ref,
-            verdict=verdict,
-            detail={"checked": total, "passed": good},
-        )
-
     return [
-        entry("descent", "stage chains strictly decrease", desc, n),
-        entry("chain-parity", "chain letters alternate parity class", par, n),
-        entry(
-            "step-window",
+        _tally("tau0/descent", "stage chains strictly decrease", n, desc),
+        _tally("tau0/chain-parity", "chain letters alternate parity class", n, par),
+        _tally(
+            "tau0/step-window",
             "chain steps stay within the stage epsilon of the base map",
+            n,
             eps_ok,
-            n,
         ),
-        entry(
-            "anchor",
+        _tally(
+            "tau0/anchor",
             "stages anchor on alternating, strictly descending rungs",
-            anchors,
             n,
+            anchors,
         ),
-        entry(
-            "parity-flip",
+        _tally(
+            "tau0/parity-flip",
             "the index map flips parity class",
+            len(values),
             flips,
-            len(values),
         ),
-        entry(
-            "value-window",
+        _tally(
+            "tau0/value-window",
             "values stay above the base map image",
-            windows,
             len(values),
+            windows,
         ),
-        entry(
-            "backward-closure",
+        _tally(
+            "tau0/backward-closure",
             "backward steps are forward inverses",
-            closure,
             back_n,
+            closure,
         ),
     ]
 
@@ -308,19 +302,7 @@ def suite_tau12(config: SuiteConfig) -> list[Entry]:
                 detail={k: bool(v) for k, v in sorted(checks.items())},
             )
         )
-        payload = eng.dump()
-        if config.cache_dir:
-            path = os.path.join(config.cache_dir, f"engine-{name}.json")
-            if os.path.exists(path):
-                with open(path, "r", encoding="utf-8") as fh:
-                    try:
-                        payload = json.loads(fh.read())
-                    except json.JSONDecodeError:
-                        payload = None
-        if payload is None:
-            ok, msg = False, "cached dump is not valid JSON"
-        else:
-            ok, msg = replay_check(payload)
+        ok, msg = replay_check(eng.dump())
         entries.append(
             Entry(
                 id=f"tau12/replay/{name}",
@@ -329,10 +311,6 @@ def suite_tau12(config: SuiteConfig) -> list[Entry]:
                 detail={"message": msg},
             )
         )
-        if config.cache_dir and ok:
-            path = os.path.join(config.cache_dir, f"engine-{name}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(eng.dump(), fh, sort_keys=True, separators=(",", ":"))
     return entries
 
 
@@ -364,23 +342,20 @@ def suite_rho(ctx: RhoContext, config: SuiteConfig) -> list[Entry]:
         sections_ok += ctx.rho(alpha) == beta and len(alpha) == len(beta)
 
     return [
-        Entry(
-            id="rho/length-law",
-            ref="one application shortens by exactly the fold indicator",
-            verdict="pass" if law_ok == config.words else "fail",
-            detail={"checked": config.words, "passed": law_ok},
+        _tally(
+            "rho/length-law",
+            "one application shortens by exactly the fold indicator",
+            config.words,
+            law_ok,
         ),
-        Entry(
-            id="rho/descent",
-            ref="iterated images reach length one",
-            verdict="pass" if descended == config.words else "fail",
-            detail={"checked": config.words, "passed": descended},
+        _tally(
+            "rho/descent", "iterated images reach length one", config.words, descended
         ),
-        Entry(
-            id="rho/section-roundtrip",
-            ref="sections map forward onto their targets at equal length",
-            verdict="pass" if sections_ok == config.sections else "fail",
-            detail={"checked": config.sections, "passed": sections_ok},
+        _tally(
+            "rho/section-roundtrip",
+            "sections map forward onto their targets at equal length",
+            config.sections,
+            sections_ok,
         ),
     ]
 
@@ -403,11 +378,7 @@ def _interior_samples(rng: random.Random, m: int, count: int):
 def suite_decomposition(ctx: RhoContext, config: SuiteConfig) -> list[Entry]:
     rng = random.Random(config.seed + 1)
     entries = []
-    depths = range(1, 5)
-    if config.m is not None:
-        if not 1 <= config.m <= 4:
-            raise DomainError("cover depth m must be between 1 and 4")
-        depths = (config.m,)
+    depths = range(1, 5) if config.m is None else (config.m,)
     for m in depths:
         pts = _interior_samples(rng, m, config.samples)
         rep = ctx.decomposition_audit(m, pts)
@@ -440,19 +411,19 @@ def suite_decomposition(ctx: RhoContext, config: SuiteConfig) -> list[Entry]:
         ]
         exclusive += all(in_D_gamma(x, g) == "outside" for g in others)
     entries.append(
-        Entry(
-            id="decomposition/cover/nesting",
-            ref="depth-two cells refine depth-one cells",
-            verdict="pass" if nested == covered and covered else "fail",
-            detail={"checked": covered, "passed": nested},
+        _tally(
+            "decomposition/cover/nesting",
+            "depth-two cells refine depth-one cells",
+            covered,
+            nested,
         )
     )
     entries.append(
-        Entry(
-            id="decomposition/cover/disjoint",
-            ref="interior points lie in exactly one cell per depth",
-            verdict="pass" if exclusive == covered and covered else "fail",
-            detail={"checked": covered, "passed": exclusive},
+        _tally(
+            "decomposition/cover/disjoint",
+            "interior points lie in exactly one cell per depth",
+            covered,
+            exclusive,
         )
     )
 
@@ -517,17 +488,17 @@ def suite_metric(ctx: RhoContext, config: SuiteConfig) -> list[Entry]:
         )
 
     return [
-        Entry(
-            id="metric/axioms",
-            ref="symmetry, identity, triangle inequality (exact)",
-            verdict="pass" if axioms == half else "fail",
-            detail={"checked": half, "passed": axioms},
+        _tally(
+            "metric/axioms",
+            "symmetry, identity, triangle inequality (exact)",
+            half,
+            axioms,
         ),
-        Entry(
-            id="metric/arc-additivity",
-            ref="distance is additive along arcs (exact)",
-            verdict="pass" if additive == rest else "fail",
-            detail={"checked": rest, "passed": additive},
+        _tally(
+            "metric/arc-additivity",
+            "distance is additive along arcs (exact)",
+            rest,
+            additive,
         ),
     ]
 
@@ -535,14 +506,8 @@ def suite_metric(ctx: RhoContext, config: SuiteConfig) -> list[Entry]:
 def suite_period(ctx: RhoContext, config: SuiteConfig) -> list[Entry]:
     grid = ScanGrid(letter_exponent=2, param_exponent=5)
     rep = ctx.fixed_periodic_scan(config.depth, config.period_bound, grid)
-    fixed = sorted(
-        json.dumps(e["point"], sort_keys=True) for e in rep["fixed"]
-    )
-    want = sorted(
-        json.dumps({"cut": {"word": [], "t": t}}, sort_keys=True)
-        for t in ("0", "1")
-    )
-    ok = fixed == want and rep["periodic"] == []
+    fixed = rep["fixed"]
+    ok = len(fixed) == 2 and set(fixed) == {ROOT, TOP} and not rep["periodic"]
     verdict = "pass" if ok and rep["unresolved"] == 0 else "fail"
     if ok and rep["unresolved"]:
         verdict = "inconclusive"
@@ -553,7 +518,7 @@ def suite_period(ctx: RhoContext, config: SuiteConfig) -> list[Entry]:
             verdict=verdict,
             detail={
                 "scanned": rep["scanned"],
-                "fixed": len(rep["fixed"]),
+                "fixed": len(fixed),
                 "periodic": len(rep["periodic"]),
                 "unresolved": rep["unresolved"],
             },
@@ -571,25 +536,30 @@ def suite_horseshoe(ctx: RhoContext, config: SuiteConfig) -> list[Entry]:
                 ref="disjoint rung blocks each cover both under two steps",
                 verdict="pass" if cert.verified else "fail",
                 detail={
-                    "entropy_coefficient": _fr(cert.entropy_coefficient),
+                    "entropy_coefficient": format_rational(cert.entropy_coefficient),
                     "entropy_log_base": cert.entropy_log_base,
-                    "rungs": {str(j): _fr(z) for j, z in sorted(cert.rungs.items())},
+                    "rungs": {
+                        str(j): format_rational(z) for j, z in sorted(cert.rungs.items())
+                    },
                 },
             )
         )
     return entries
 
 
-def _lip_pairs_arc(ctx, rng, word, count):
-    params = sorted(dyadic_grid(6))
+def _lip_pairs(rng, arcs, params, count):
+    """Pairs of distinct cut points on random arcs at random parameters."""
     pairs = []
     while len(pairs) < count:
-        a, b = rng.sample(params, 2)
-        pairs.append((cut(word, a), cut(word, b)))
+        wa, wb = rng.choice(arcs), rng.choice(arcs)
+        pa, pb = rng.choice(params), rng.choice(params)
+        if wa == wb and pa == pb:
+            continue
+        pairs.append((cut(wa, pa), cut(wb, pb)))
     return pairs
 
 
-def _child_letters(ctx, rng, word, want):
+def _child_letters(ctx, word, want):
     """Extension letters whose images keep to settled forward descents."""
     targets = dyadic_grid(3)
     letters = []
@@ -606,26 +576,21 @@ def _child_letters(ctx, rng, word, want):
 
 def suite_lipschitz(ctx: RhoContext, config: SuiteConfig) -> list[Entry]:
     rng = random.Random(config.seed + 3)
+    params = sorted(dyadic_grid(6))
     entries = []
     for m in (2, 5, 10):
         (word,) = lifted_words(ctx, rng, 1, max_len=m, min_len=m)
         scopes = {}
 
+        draws = (rng.sample(params, 2) for _ in range(config.pairs))
         scopes["arc"] = ctx.lipschitz_audit(
-            ("arc", word), _lip_pairs_arc(ctx, rng, word, config.pairs)
+            ("arc", word), [(cut(word, a), cut(word, b)) for a, b in draws]
         )
 
-        children = _child_letters(ctx, rng, word, 3)
-        params = sorted(dyadic_grid(6))
-        pairs = []
-        arcs = [word] + [word + (c,) for c in children]
-        while len(pairs) < config.pairs:
-            wa, wb = rng.choice(arcs), rng.choice(arcs)
-            pa, pb = rng.choice(params), rng.choice(params)
-            if wa == wb and pa == pb:
-                continue
-            pairs.append((cut(wa, pa), cut(wb, pb)))
-        scopes["subtree"] = ctx.lipschitz_audit(("subtree", word), pairs)
+        arcs = [word] + [word + (c,) for c in _child_letters(ctx, word, 3)]
+        scopes["subtree"] = ctx.lipschitz_audit(
+            ("subtree", word), _lip_pairs(rng, arcs, params, config.pairs)
+        )
 
         # Factor ratios are only informative when images hang below the
         # collapsed skeleton, so the base here is a section word: its
@@ -633,15 +598,10 @@ def suite_lipschitz(ctx: RhoContext, config: SuiteConfig) -> list[Entry]:
         (fbase,) = lifted_words(
             ctx, rng, 1, max_len=m + 1, min_len=m + 1, homeo_steps=1
         )
-        deep = [fbase] + [fbase + (c,) for c in _child_letters(ctx, rng, fbase, 2)]
-        pairs = []
-        while len(pairs) < config.pairs:
-            wa, wb = rng.choice(deep), rng.choice(deep)
-            pa, pb = rng.choice(params), rng.choice(params)
-            if wa == wb and pa == pb:
-                continue
-            pairs.append((cut(wa, pa), cut(wb, pb)))
-        scopes["factor"] = ctx.lipschitz_audit(("factor", m), pairs)
+        deep = [fbase] + [fbase + (c,) for c in _child_letters(ctx, fbase, 2)]
+        scopes["factor"] = ctx.lipschitz_audit(
+            ("factor", m), _lip_pairs(rng, deep, params, config.pairs)
+        )
 
         for scope, rep in sorted(scopes.items()):
             verdict = "pass" if rep["ok"] else "fail"
@@ -770,11 +730,11 @@ def suite_witness(ctx: RhoContext, config: SuiteConfig) -> list[Entry]:
                 "max_steps": max(two_steps) if two_steps else 0,
             },
         ),
-        Entry(
-            id="witness/cylinder-brute-force",
-            ref="iterated cylinder images match letterwise composition",
-            verdict="pass" if cyl_checked and cyl_ok == cyl_checked else "fail",
-            detail={"checked": cyl_checked, "passed": cyl_ok},
+        _tally(
+            "witness/cylinder-brute-force",
+            "iterated cylinder images match letterwise composition",
+            cyl_checked,
+            cyl_ok,
         ),
     ]
 
@@ -783,14 +743,13 @@ def suite_witness(ctx: RhoContext, config: SuiteConfig) -> list[Entry]:
 
 
 def run_suites(names: Sequence[str], config: SuiteConfig) -> list[Entry]:
-    unknown = [n for n in names if n not in SUITE_NAMES]
-    if unknown:
-        raise DomainError(f"unknown suites {unknown}; choose from {SUITE_NAMES}")
+    """Entries of the named suites, run in ``SUITE_NAMES`` order on one context.
+
+    Names must come from ``SUITE_NAMES``; the CLI checks them before the run.
+    """
     ctx = RhoContext(tau0_rounds=config.budget)
     entries: list[Entry] = []
-    for name in SUITE_NAMES:
-        if name not in names:
-            continue
+    for name in sorted(set(names), key=SUITE_NAMES.index):
         # Looked up per call, so a suite replaced on the module is the one run.
         suite = globals()[f"suite_{name}"]
         if name in ("tau0", "tau12"):

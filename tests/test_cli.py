@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from dendromap.cli import CACHE_ENV, main, parse_point, format_point
+from dendromap import suites, tau12
+from dendromap.cli import main, parse_point, format_point
 from dendromap.dynamics import RhoContext
 from dendromap.rationals import format_rational
 from dendromap.errors import DomainError
@@ -174,6 +175,11 @@ def test_render_depth_limits(capsys):
     assert code == 2
     code, _, err = run(capsys, "render", "--m", "0")
     assert code == 2
+    # A negative exponent, and a 54,241-arc skeleton, are refused up front.
+    for m, letters in (("1", "-1"), ("4", "4")):
+        code, out, err = run(capsys, "render", "--m", m, "--letters", letters)
+        assert code == 2
+        assert out == "" and err.startswith("usage error:")
 
 
 def test_render_rejects_json(capsys):
@@ -199,37 +205,48 @@ def test_verify_reports_are_byte_identical(capsys):
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "--suite", "nonsense")
     assert code == 2 and "--suite" in err
+    for spec in ("", ",", "tau12,nonsense"):
+        code, out, err = run(capsys, "verify", "--suite", spec)
+        assert code == 2 and out == "" and "--suite" in err
 
 
 def test_verify_bad_depth_restriction(capsys):
     code, _, err = run(capsys, "verify", "--suite", "decomposition", "--m", "7")
     assert code == 2
+    # Rejected before the run even when no chosen suite reads --m.
+    code, out, err = run(capsys, "verify", "--suite", "tau12", "--m", "7")
+    assert code == 2
+    assert out == "" and err.startswith("usage error:")
 
 
-def test_verify_corrupted_engine_dump(tmp_path, capsys, monkeypatch):
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    monkeypatch.setenv(CACHE_ENV, str(cache))
-    code, out, _ = run(capsys, "verify", "--suite", "tau12")
-    assert code == 0
-    dumps = sorted(cache.glob("engine-*.json"))
-    assert dumps
-    dumps[0].write_text("{not json", encoding="utf-8")
+def test_verify_domain_error_inside_the_run_is_a_fail(capsys, monkeypatch):
+    def broken(ctx, config):
+        raise DomainError("injected inside the run")
+
+    monkeypatch.setattr(suites, "suite_metric", broken)
+    code, out, err = run(capsys, "verify", "--suite", "metric")
+    assert code == 1
+    assert out == "" and err.startswith("fail:")
+
+
+def test_verify_corrupted_engine_dump(capsys, monkeypatch):
+    corrupted = []
+
+    def corrupting(dumped):
+        if not corrupted:
+            (x, value), *rest = dumped["nodes"]
+            moved = format_rational(Fraction(value) + 1)
+            dumped = {**dumped, "nodes": [[x, moved]] + rest}
+            corrupted.append(dumped["label"])
+        return tau12.replay_check(dumped)
+
+    monkeypatch.setattr(suites, "replay_check", corrupting)
     code, out, _ = run(capsys, "verify", "--suite", "tau12")
     assert code == 1
     report = json.loads(out)
     failing = [e["id"] for e in report["entries"] if e["verdict"] == "fail"]
-    assert len(failing) == 1 and failing[0].startswith("tau12/replay/")
-
-
-def test_verify_warm_cache_stays_green(tmp_path, capsys, monkeypatch):
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    monkeypatch.setenv(CACHE_ENV, str(cache))
-    code1, out1, _ = run(capsys, "verify", "--suite", "tau12")
-    code2, out2, _ = run(capsys, "verify", "--suite", "tau12")
-    assert (code1, code2) == (0, 0)
-    assert out1 == out2
+    assert corrupted and len(failing) == 1
+    assert failing[0].startswith("tau12/replay/")
 
 
 def test_no_subcommand_is_a_usage_error(capsys):
