@@ -12,7 +12,7 @@ import argparse
 import sys
 from typing import Optional
 
-from .dynamics import RhoContext, WitnessBudget
+from .dynamics import RhoContext
 from .errors import BudgetExceeded, DendromapError, DomainError, PrecisionError
 from .plmap import base_forward
 from .rationals import as_fraction, format_rational
@@ -20,7 +20,7 @@ from .render import render_svg
 from .reports import canonical_json, exit_code, make_report
 from .space import EndPoint, cut, end, point_to_json
 from .suites import SUITE_NAMES, SuiteConfig, run_suites
-from .words import format_bits, parse_bits
+from .words import as_word, format_bits, parse_bits
 
 #: Largest skeleton ``render`` draws; layout time grows with the arc count.
 MAX_RENDER_ARCS = 4096
@@ -30,18 +30,9 @@ class UsageError(Exception):
     pass
 
 
-def _fraction(text: str):
-    try:
-        return as_fraction(text)
-    except (ValueError, ZeroDivisionError, DomainError) as exc:
-        raise UsageError(f"bad rational {text!r}: {exc}")
-
-
 def parse_word(text: str) -> tuple:
     text = text.strip()
-    if not text:
-        return ()
-    return tuple(_fraction(part) for part in text.split(","))
+    return as_word(text.split(",")) if text else ()
 
 
 def parse_point(text: str):
@@ -62,7 +53,7 @@ def parse_point(text: str):
         return end(word)
     if not tail.startswith(","):
         raise UsageError("cut points need ,t after the letter list")
-    return cut(word, _fraction(tail[1:]))
+    return cut(word, tail[1:])
 
 
 def format_point(x) -> str:
@@ -87,6 +78,8 @@ def _require_format(args, allowed: str) -> None:
 
 
 def _context(args) -> RhoContext:
+    if args.budget < 1:
+        raise UsageError("--budget must be at least 1")
     return RhoContext(tau0_rounds=args.budget)
 
 
@@ -102,7 +95,7 @@ def cmd_verify(args) -> int:
         for key in ("depth", "horizon", "budget", "samples", "seed", "m")
         if getattr(args, key) is not None
     }
-    config = SuiteConfig(**overrides)  # a bad --m raises DomainError: exit 2
+    config = SuiteConfig(**overrides)  # a bad flag raises DomainError: exit 2
     # Flags are all checked by now, so a domain error inside the run is a fault.
     try:
         entries = run_suites(names, config)
@@ -122,13 +115,13 @@ def cmd_eval(args) -> int:
     if len(chosen) != 1:
         raise UsageError("pick exactly one of --phi0, --tau0, --rho, --point")
     mode = chosen[0]
+    ctx = _context(args)
     if mode == "phi0":
-        value = base_forward(_fraction(args.phi0))
+        value = base_forward(as_fraction(args.phi0))
         _emit(format_rational(value) + "\n", args.out)
         return 0
-    ctx = _context(args)
     if mode == "tau0":
-        value = ctx.xi(_fraction(args.tau0))
+        value = ctx.xi(args.tau0)
         _emit(format_rational(value) + "\n", args.out)
         return 0
     if mode == "rho":
@@ -188,9 +181,7 @@ def cmd_witness(args) -> int:
     delta = parse_bits(args.delta)
     # Errors reach main: malformed input exits 2, a spent budget 3, and only
     # a record that fails forward verification 1.
-    rec = ctx.transitivity_witness(
-        alpha, _fraction(args.target), delta, WitnessBudget()
-    )
+    rec = ctx.transitivity_witness(alpha, args.target, delta)
     payload = {
         "alpha": [format_rational(a) for a in rec.alpha],
         "target": format_rational(rec.s),

@@ -67,6 +67,7 @@ from .words import (
     Bits,
     QWord,
     as_bits,
+    as_letter,
     as_word,
     carry_letter,
     format_bits,
@@ -82,7 +83,11 @@ def _bit_at(bits: Bits, position: int, value_shift: int) -> int:
 
 
 class RhoContext:
-    """Shared engine cache; all word and point dynamics go through one context."""
+    """Shared engine cache; all word and point dynamics go through one context.
+
+    An engine cache key is validated on a miss only, before its factory runs,
+    so a key equal to a cached one (the float 0.5 for 1/2) is served as is.
+    """
 
     def __init__(self, tau0_rounds: int = 512):
         self._tau0 = Tau0Engine(max_rounds=tau0_rounds)
@@ -99,21 +104,23 @@ class RhoContext:
         return self._tau0.eval(r)
 
     def tau_prime(self, r) -> TauEngine:
-        r = as_fraction(r)
+        if r not in self._prime:
+            r = as_fraction(r)
         if r not in self._prime:
             self._prime[r] = make_tau_prime(r, self.xi(r))
         return self._prime[r]
 
     def tau_dp(self, r) -> TauEngine:
-        r = as_fraction(r)
+        if r not in self._dp:
+            r = as_fraction(r)
         if r not in self._dp:
             self._dp[r] = make_tau_doubleprime(r)
         return self._dp[r]
 
     def tau_alpha(self, alpha) -> TauEngine:
-        alpha = as_word(alpha)
-        if len(alpha) < 2:
-            raise DomainError("arc engines need words of length at least 2")
+        alpha = tuple(alpha)
+        if alpha not in self._alpha:
+            alpha = as_word(alpha)
         if alpha not in self._alpha:
             self._alpha[alpha] = make_tau_alpha(alpha)
         return self._alpha[alpha]
@@ -348,14 +355,12 @@ class RhoContext:
         self, alpha, s, delta, budget: "WitnessBudget" = None
     ) -> "WitnessRecord":
         alpha = as_word(alpha)
-        s = as_fraction(s)
+        s = as_letter(s)
         delta = as_bits(delta)
         if not alpha:
             raise DomainError("witnesses need a nonempty start word")
         if len(delta) != len(alpha):
             raise DomainError("parity target must have the start word's length")
-        if not (0 < s < 1 and is_dyadic(s)):
-            raise DomainError(f"target letter {s} must be a dyadic of (0, 1)")
         budget = budget or WitnessBudget()
         levels: list[dict] = []
         n, c, u = self._witness(alpha, s, delta, budget, levels)
@@ -416,7 +421,7 @@ class RhoContext:
     def _witness_base(self, r, s, d1, budget, levels) -> tuple[int, int, Fraction]:
         g = parity_class(r)
         d = parity_class(s)
-        ladder = [as_fraction(r)]
+        ladder = [r]
 
         def rung_at(i: int) -> Fraction:
             while len(ladder) <= i:
@@ -652,9 +657,7 @@ class RhoContext:
 
     def noninjectivity_witness(self, r) -> tuple[CutPoint, CutPoint, CutPoint]:
         """Two distinct points with the same image, one per arc level."""
-        r = as_fraction(r)
-        if not (0 < r < 1 and is_dyadic(r)):
-            raise DomainError(f"need a dyadic letter in (0, 1), got {r}")
+        r = as_letter(r)
         s = self.xi(r)
         x1 = cut((), base_backward(s))
         x2 = cut((r,), OMEGA)

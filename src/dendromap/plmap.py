@@ -3,6 +3,8 @@
 The base map halves every point below 2/3 and stretches [2/3, 1] affinely
 back onto [1/3, 1].  It fixes 0 and 1, moves every interior point down, and
 flips the parity class of every dyadic it touches.
+
+Breakpoints and arguments are checked Fractions; nothing here coerces them.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ class PLMap:
         return self.xs[0], self.xs[-1]
 
     def apply(self, t: Fraction) -> Fraction:
-        t = Fraction(t)
         if not (self.xs[0] <= t <= self.xs[-1]):
             raise DomainError(f"{t} outside domain {self.domain}")
         i = bisect.bisect_right(self.xs, t) - 1
@@ -62,14 +63,9 @@ class PLMap:
             for (x0, x1, y0, y1) in zip(self.xs, self.xs[1:], self.ys, self.ys[1:])
         ]
 
-    def is_strictly_increasing(self) -> bool:
-        return all(y0 < y1 for y0, y1 in zip(self.ys, self.ys[1:]))
-
     def invert(self, v: Fraction) -> Fraction:
-        """Unique preimage; the map must be strictly increasing."""
-        if not self.is_strictly_increasing():
-            raise DomainError("invert requires a strictly increasing map")
-        v = Fraction(v)
+        """Unique preimage; the map must be strictly increasing, as
+        ``BASE_MAP`` and every frame diagonal of a staged engine are."""
         if not (self.ys[0] <= v <= self.ys[-1]):
             raise DomainError(f"{v} outside image {self.ys[0]}..{self.ys[-1]}")
         i = bisect.bisect_right(self.ys, v) - 1
@@ -102,4 +98,4 @@ def frame_diagonal(
     (a, b), (a2, b2) = source, target
     if not a < b:
         raise DomainError("degenerate source interval")
-    return PLMap(xs=(Fraction(a), Fraction(b)), ys=(Fraction(a2), Fraction(b2)))
+    return PLMap(xs=(a, b), ys=(a2, b2))

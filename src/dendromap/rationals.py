@@ -5,6 +5,9 @@ in (0, 1) are written p / 2**q with p odd; the *parity class* of such a number
 is q mod 2.  The canonical enumeration orders dyadics by (q, p) lexicographic
 and is the universal tie-breaker whenever a construction says "pick the first
 available point".
+
+Values enter through :func:`as_fraction`; every other helper here takes
+Fractions (ints also work) and does not coerce its arguments again.
 """
 
 from __future__ import annotations
@@ -22,13 +25,19 @@ MAX_SCAN_EXPONENT = 4096
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints, strings like ``"3/8"``, and Fractions to Fraction."""
+    """Coerce ints, strings like ``"3/8"``, and Fractions to Fraction.
+
+    Floats are refused, and so are exponent literals: one as short as
+    ``"1e99999999"`` takes minutes to expand.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         try:
+            if "e" in value.lower():
+                raise ValueError("exponent literal")
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"not a rational literal: {value!r}") from exc
@@ -37,7 +46,6 @@ def as_fraction(value) -> Fraction:
 
 def format_rational(x: Fraction) -> str:
     """Render ``x`` as ``"p/q"`` (or ``"n"`` for integers)."""
-    x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -45,7 +53,7 @@ def format_rational(x: Fraction) -> str:
 
 def is_dyadic(x: Fraction) -> bool:
     """True when ``x`` is p / 2**q for some integers p, q >= 0."""
-    d = Fraction(x).denominator
+    d = x.denominator
     return d & (d - 1) == 0
 
 
@@ -55,7 +63,6 @@ def dyadic_parts(x: Fraction) -> tuple[int, int]:
     Raises DomainError when ``x`` is not a dyadic rational strictly between
     0 and 1.
     """
-    x = Fraction(x)
     if not (0 < x < 1):
         raise DomainError(f"dyadic_parts needs a point of (0, 1), got {x}")
     if not is_dyadic(x):
@@ -147,13 +154,13 @@ def first_dyadic_in(
     """
     if parity not in (0, 1):
         raise DomainError(f"parity class must be 0 or 1, got {parity}")
-    lo, hi = Fraction(interval[0]), Fraction(interval[1])
+    lo, hi = interval
     if not (lo < hi):
         raise DomainError(f"empty interval ({lo}, {hi})")
     if isinstance(excluded, (set, frozenset, dict)):
         skip = excluded
     else:
-        skip = frozenset(Fraction(e) for e in excluded)
+        skip = frozenset(excluded)
     for cand in dyadics_in(parity, lo, hi):
         if cand not in skip:
             return cand

@@ -27,8 +27,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Union
 
 from .errors import BudgetExceeded, DomainError, PrecisionError
-from .rationals import as_fraction, dyadic_parts, format_rational, is_dyadic
-from .words import QWord, as_word, parity_word
+from .rationals import as_fraction, dyadic_parts, format_rational
+from .words import QWord, as_bits, as_word, parity_word
 
 #: Defensive cap on length-recursion descent; the shortening map must reach a
 #: shorter word well before this.
@@ -118,14 +118,20 @@ def seq_of(x: CutPoint) -> tuple[Fraction, ...]:
 
 
 class LengthTable:
-    """Memoized arc lengths over an injected word-shortening map."""
+    """Memoized arc lengths over an injected word-shortening map.
+
+    A word is validated only when its length is not memoized yet; the map
+    must return validated words, as ``RhoContext.rho`` does.
+    """
 
     def __init__(self, rho: Callable[[QWord], QWord]):
         self._rho = rho
         self._memo: dict[QWord, Fraction] = {(): Fraction(1)}
 
     def lambda_of(self, word) -> Fraction:
-        word = as_word(word)
+        word = tuple(word)
+        if word not in self._memo:
+            word = as_word(word)
         if word in self._memo:
             return self._memo[word]
         m = len(word)
@@ -136,7 +142,7 @@ class LengthTable:
             cur = word
             p = 0
             while len(cur) >= m:
-                cur = as_word(self._rho(cur))
+                cur = self._rho(cur)
                 p += 1
                 if p > MAX_DESCENT:
                     raise BudgetExceeded(f"length recursion stuck at {word}")
@@ -229,9 +235,7 @@ def _end_end(x: EndPoint, y: EndPoint, table: LengthTable) -> Interval:
 
 def in_D_gamma(x: PointRep, gamma) -> str:
     """Classify a point against one cover cell: interior, boundary, outside."""
-    gamma = tuple(int(c) for c in gamma)
-    if any(c not in (0, 1) for c in gamma):
-        raise DomainError(f"not a parity word: {gamma!r}")
+    gamma = as_bits(gamma)
     m = len(gamma)
     if m == 0:
         return "interior"
@@ -280,10 +284,7 @@ def factor_distance(x: PointRep, y: PointRep, m: int, table: LengthTable):
 
 def arcs_of_skeleton(m: int, letters: Iterable[Fraction]) -> list[QWord]:
     """All arc words of depth <= m over a finite letter set, sorted shallow first."""
-    letters = tuple(sorted(set(as_fraction(r) for r in letters)))
-    for r in letters:
-        if not (is_dyadic(r) and 0 < r < 1):
-            raise DomainError(f"letter {r} is not a dyadic in (0, 1)")
+    letters = sorted(set(as_word(letters)))
     out: list[QWord] = [()]
     frontier: list[QWord] = [()]
     for _ in range(m):

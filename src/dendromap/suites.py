@@ -72,18 +72,26 @@ class SuiteConfig:
     def __post_init__(self):
         if self.m is not None and not 1 <= self.m <= 4:
             raise DomainError("cover depth m must be between 1 and 4")
+        for name in ("samples", "depth", "horizon", "budget"):
+            if getattr(self, name) < 1:
+                raise DomainError(f"{name} must be at least 1")
 
     def to_json(self) -> dict:
         # Kept from the retired dump-cache option so report bytes stay stable.
         return {**self.__dict__, "cache_dir": False}
 
 
+def _verdict(checked: int, passed: int) -> str:
+    """pass when at least one check ran and every one passed, else fail."""
+    return "pass" if checked and passed == checked else "fail"
+
+
 def _tally(entry_id: str, ref: str, checked: int, passed: int) -> Entry:
-    """A count entry: pass when at least one check ran and every one passed."""
+    """A count entry, judged by :func:`_verdict`."""
     return Entry(
         id=entry_id,
         ref=ref,
-        verdict="pass" if checked and passed == checked else "fail",
+        verdict=_verdict(checked, passed),
         detail={"checked": checked, "passed": passed},
     )
 
@@ -383,7 +391,7 @@ def suite_decomposition(ctx: RhoContext, config: SuiteConfig) -> list[Entry]:
         pts = _interior_samples(rng, m, config.samples)
         rep = ctx.decomposition_audit(m, pts)
         counts = rep["counts"]
-        verdict = "pass" if rep["ok"] and counts["pass"] == len(pts) else "fail"
+        verdict = _verdict(len(pts), counts["pass"])
         if counts["inconclusive"] and not counts["fail"]:
             verdict = "inconclusive"
         entries.append(
@@ -439,7 +447,7 @@ def suite_decomposition(ctx: RhoContext, config: SuiteConfig) -> list[Entry]:
         sem_checked += 1
         got = parity_word(image.prefix)
         sem_ok += got == odometer_add(parity_word(prefix), 1)[: len(got)]
-    verdict = "pass" if sem_checked and sem_ok == sem_checked else "fail"
+    verdict = _verdict(sem_checked, sem_ok)
     if sem_ok == sem_checked and sem_checked < config.words // 2:
         verdict = "inconclusive"
     entries.append(

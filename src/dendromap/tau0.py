@@ -41,12 +41,13 @@ from fractions import Fraction
 from .errors import BudgetExceeded, DomainError
 from .plmap import base_backward, base_forward
 from .rationals import (
+    as_fraction,
     canonical_enumeration,
     first_dyadic_in,
     format_rational,
-    is_dyadic,
     parity_class,
 )
+from .words import as_letter
 
 
 @dataclass
@@ -280,21 +281,14 @@ class Tau0Engine:
 
     # -- queries (all advance whole rounds only) ------------------------
 
-    @staticmethod
-    def _validate(x) -> Fraction:
-        x = Fraction(x)
-        if not (0 < x < 1) or not is_dyadic(x):
-            raise DomainError(f"index map acts on dyadics of (0, 1), got {x}")
-        return x
-
     def eval(self, r) -> Fraction:
-        r = self._validate(r)
+        r = as_letter(r)
         while r not in self._xi:
             self._run_round()
         return self._xi[r]
 
     def role(self, x) -> tuple:
-        x = self._validate(x)
+        x = as_letter(x)
         while x not in self._role:
             self._run_round()
         return self._role[x]
@@ -330,7 +324,7 @@ class Tau0Engine:
         return None
 
     def preimages(self, v) -> list[Fraction]:
-        v = self._validate(v)
+        v = as_letter(v)
         while v not in self._role:
             self._run_round()
         role = self._role[v]
@@ -355,7 +349,7 @@ class Tau0Engine:
     def backward_step(self, v) -> Fraction:
         """Canonical backward move: rungs descend the ladder, hopping onto a
         stage chain at its anchor; chain points step to their predecessor."""
-        v = self._validate(v)
+        v = as_letter(v)
         while v not in self._role:
             self._run_round()
         role = self._role[v]
@@ -378,8 +372,8 @@ class Tau0Engine:
 
     def backward_trajectory(self, s, threshold) -> list[Fraction]:
         """Backward orbit (t_0 = s, t_-1, ...) ending above the threshold."""
-        s = self._validate(s)
-        threshold = Fraction(threshold)
+        s = as_letter(s)
+        threshold = as_fraction(threshold)
         if threshold >= 1:
             raise DomainError("threshold must be below 1")
         out = [s]
@@ -389,7 +383,7 @@ class Tau0Engine:
 
     def forward_to_rung(self, x) -> tuple[int, int]:
         """(steps, rung index) for the first ladder hit of x's orbit."""
-        x = self._validate(x)
+        x = as_letter(x)
         steps = 0
         while True:
             role = self.role(x)

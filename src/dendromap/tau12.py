@@ -58,7 +58,7 @@ from .rationals import (
     is_dyadic,
     parity_class,
 )
-from .words import as_word, carry_letter, parity_word
+from .words import as_letter, as_word, carry_letter, parity_word
 
 SCHEMA = "dendromap-engine/1"
 
@@ -559,22 +559,22 @@ def replay_check(dumped: dict) -> tuple[bool, str]:
     """Re-drive a dumped engine's operation log and compare states byte-wise."""
     try:
         engine = TauEngine(
-            (as_fraction(dumped["domain"][0]), as_fraction(dumped["domain"][1])),
-            (as_fraction(dumped["codomain"][0]), as_fraction(dumped["codomain"][1])),
-            tuple(dumped["target_parity"]),
-            as_fraction(dumped["lipschitz"]),
+            dumped["domain"],
+            dumped["codomain"],
+            dumped["target_parity"],
+            dumped["lipschitz"],
             label=dumped["label"],
         )
         for entry in dumped["ops"]:
             op, args = entry["op"], entry["args"]
             if op == "eval_exact":
-                engine.eval_exact(as_fraction(args[0]))
+                engine.eval_exact(args[0])
             elif op == "eval_approx":
-                engine.eval_approx(as_fraction(args[0]), as_fraction(args[1]))
+                engine.eval_approx(args[0], args[1])
             elif op == "preimages":
-                engine.preimages(as_fraction(args[0]))
+                engine.preimages(args[0])
             elif op == "settle_target":
-                engine.settle_target(as_fraction(args[0]), int(args[1]))
+                engine.settle_target(args[0], int(args[1]))
             elif op == "ensure_rounds":
                 engine.ensure_rounds(int(args[0]))
             else:
@@ -593,9 +593,7 @@ def replay_check(dumped: dict) -> tuple[bool, str]:
 
 def make_tau_prime(r, xi_r, **kwargs) -> TauEngine:
     """Fold engine from the lower arc piece onto the gap above the base map."""
-    r, xi_r = as_fraction(r), as_fraction(xi_r)
-    if not (is_dyadic(r) and 0 < r < 1):
-        raise DomainError(f"{r} is not a dyadic in (0, 1)")
+    r, xi_r = as_letter(r), as_fraction(xi_r)
     floor = base_forward(r)
     if not floor < xi_r < 1:
         raise DomainError(f"image interval ({floor}, {xi_r}) is degenerate")
@@ -612,9 +610,7 @@ def make_tau_prime(r, xi_r, **kwargs) -> TauEngine:
 
 def make_tau_doubleprime(r, **kwargs) -> TauEngine:
     """Homeomorphism engine from the upper arc piece onto the full interval."""
-    r = as_fraction(r)
-    if not (is_dyadic(r) and 0 < r < 1):
-        raise DomainError(f"{r} is not a dyadic in (0, 1)")
+    r = as_letter(r)
     d = parity_class(r)
     tp = (carry_letter((d, 0)), carry_letter((d, 1)))
     return TauEngine(

@@ -18,15 +18,17 @@ QWord = tuple[Fraction, ...]
 Bits = tuple[int, ...]
 
 
+def as_letter(value) -> Fraction:
+    """Validate and normalize one letter: a dyadic rational of (0, 1)."""
+    x = as_fraction(value)
+    if not (0 < x < 1) or not is_dyadic(x):
+        raise DomainError(f"letters must be dyadics of (0, 1), got {x}")
+    return x
+
+
 def as_word(letters: Sequence) -> QWord:
     """Validate and normalize a sequence of dyadic letters in (0, 1)."""
-    out = []
-    for letter in letters:
-        x = as_fraction(letter)
-        if not (0 < x < 1) or not is_dyadic(x):
-            raise DomainError(f"word letters must be dyadics of (0, 1): {x}")
-        out.append(x)
-    return tuple(out)
+    return tuple(map(as_letter, letters))
 
 
 def parity_word(word: Sequence[Fraction]) -> Bits:
@@ -77,4 +79,4 @@ def parse_bits(text: str) -> Bits:
 
 
 def format_bits(bits: Sequence[int]) -> str:
-    return "".join(str(b) for b in as_bits(bits))
+    return "".join(str(b) for b in bits)

@@ -1,8 +1,12 @@
+import io
 import json
 import xml.dom.minidom
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dendromap import suites, tau12
 from dendromap.cli import main, parse_point, format_point
@@ -253,3 +257,84 @@ def test_no_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "period", "--depth", "0"],
+        ["verify", "--suite", "decomposition", "--samples", "0"],
+        ["verify", "--suite", "rho", "--horizon", "0"],
+        ["verify", "--suite", "tau0", "--budget", "-1"],
+        ["eval", "--tau0", "1/2", "--budget", "-5"],
+        ["eval", "--phi0", "1/2", "--budget", "0"],
+        ["orbit", "--start", "cut:[],1/2", "--budget", "0"],
+        ["witness", "--alpha", "1/2", "--target", "1/2", "--delta", "0", "--budget", "0"],
+        ["render", "--m", "1", "--budget", "0"],
+    ],
+)
+def test_out_of_range_scales_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("usage error:")
+
+
+# Half the literals are shallow dyadics of [0, 1]; the rest are junk,
+# float-like, negative, out of range or not dyadic.  An exponent literal
+# once stalled the parser for minutes.
+GOOD = ["1/2", "1/4", "3/4", "3/8", "0", "1"]
+BAD = [
+    "junk", "", "1/0", "1/2/3", "nan", "inf", "0.5", ".25", "1e3", "1e99999999",
+    "-1/2", "-1", "3/2", "1/3", "2/5",
+]
+literals = st.one_of(st.sampled_from(GOOD), st.sampled_from(BAD))
+words = st.lists(literals, max_size=3).map(",".join)
+points = st.one_of(
+    st.builds("cut:[{}],{}".format, words, literals),
+    st.builds("end:[{}]".format, words),
+    st.sampled_from(["cut:[1/2]", "mid:[1/2],1/2", "cut:[1/2,1/4", "end:[1/2],0"]),
+)
+small = st.integers(-1, 3)
+
+
+def command(name, required, optional):
+    """argv for ``name``: every required flag and any subset of the optional
+    ones, each written ``--flag=value``."""
+    parts = [value.map(f"--{flag}={{}}".format) for flag, value in required.items()]
+    parts += [
+        st.one_of(st.none(), value.map(f"--{flag}={{}}".format))
+        for flag, value in optional.items()
+    ]
+    return st.tuples(*parts).map(lambda got: [name] + [a for a in got if a])
+
+
+BUDGET = {"budget": st.integers(-1, 32)}
+argvs = st.one_of(
+    command("eval", {}, dict(phi0=literals, tau0=literals, rho=words, point=points, **BUDGET)),
+    command("orbit", dict(start=points), dict(n=small, m=small, **BUDGET)),
+    command(
+        "witness",
+        dict(alpha=words, target=literals, delta=st.sampled_from(["0", "1", "01", "", "2"])),
+        BUDGET,
+    ),
+    command(
+        "render",
+        dict(m=st.integers(0, 4)),
+        dict(letters=st.integers(-1, 2), start=points, n=small, **BUDGET),
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(argvs)
+@example(["eval", "--phi0=1e99999999"])
+@example(["eval", "--tau0=1/2", "--budget=-5"])
+def test_generated_argv_keeps_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the flags
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

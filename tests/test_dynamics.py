@@ -647,3 +647,47 @@ def test_settled_values_depend_on_query_history():
     for t in islice(canonical_enumeration(), 32):
         engine.eval_exact(t)
     assert warmed.rho(word) == (F(65, 256), F(7, 32))
+
+
+def test_rho_validates_its_word_once(monkeypatch):
+    from dendromap import dynamics, space, tau12
+
+    calls = []
+
+    def counting(letters, _as_word=dynamics.as_word):
+        calls.append(len(letters))
+        return _as_word(letters)
+
+    for module in (dynamics, space, tau12):
+        monkeypatch.setattr(module, "as_word", counting)
+    ctx = RhoContext()
+    for n in (4, 40):
+        word = (HALF,) * n
+        ctx.rho(word)  # builds and settles the prefix engines
+        calls.clear()
+        assert len(ctx.rho(word)) == n
+        # The warmed prefix engines are cache hits: no prefix is validated.
+        assert calls == [n]
+
+
+def test_engine_cache_keys_are_validated_forms():
+    ctx = RhoContext()
+    for bad in ("1/3", "junk", 0.5):
+        with pytest.raises(DomainError):
+            ctx.tau_prime(bad)
+        with pytest.raises(DomainError):
+            ctx.tau_dp(bad)
+    for bad in [("1/2",), ("1/2", "1/3"), ["1/2", "junk"], (HALF, 0), (0.5, 0.25)]:
+        with pytest.raises(DomainError):
+            ctx.tau_alpha(bad)
+    assert ctx.engine_count == 1
+    arc = ctx.tau_alpha((HALF, F(1, 4)))
+    prime, dp = ctx.tau_prime(HALF), ctx.tau_dp(HALF)
+    assert ctx.tau_alpha(("1/2", "1/4")) is arc
+    assert ctx.tau_alpha(["1/2", F(1, 4)]) is arc
+    assert ctx.tau_prime("1/2") is prime
+    assert ctx.tau_dp("1/2") is dp
+    # A key is checked on a miss only: a float equal to a cached letter is
+    # served that letter's engine.
+    assert ctx.tau_prime(0.5) is prime
+    assert ctx.engine_count == 4

@@ -159,6 +159,12 @@ class TestMapProperties:
         with pytest.raises(DomainError):
             engine.eval(F(0))
 
+    @pytest.mark.parametrize("bad", ["junk", "1/0", 0.5])
+    def test_rejects_what_as_fraction_refuses(self, engine, bad):
+        # Junk literals and floats get the same DomainError as everywhere else.
+        with pytest.raises(DomainError):
+            engine.eval(bad)
+
 
 class TestPreimages:
     def test_anchor_rung_has_two(self, engine):
