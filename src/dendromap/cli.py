@@ -133,9 +133,13 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_orbit(args) -> int:
+def _require_orbit_length(args) -> None:
     if args.n < 0 or args.m < 1:
         raise UsageError("--n must be nonnegative and --m at least 1")
+
+
+def cmd_orbit(args) -> int:
+    _require_orbit_length(args)
     ctx = _context(args)
     x = parse_point(args.start)
     visited = []  # (point, cell label) per step
@@ -200,6 +204,7 @@ def cmd_render(args) -> int:
     _require_format(args, "svg")
     if not 1 <= args.m <= 4:
         raise UsageError("--m must be between 1 and 4 for rendering")
+    _require_orbit_length(args)
     # The skeleton has sum over i <= m of (2^letters - 1)^i arcs.
     if not 0 <= args.letters <= 12 or sum(
         ((1 << args.letters) - 1) ** i for i in range(args.m + 1)

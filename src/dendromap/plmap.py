@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
+from .rationals import format_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -47,7 +48,10 @@ class PLMap:
 
     def apply(self, t: Fraction) -> Fraction:
         if not (self.xs[0] <= t <= self.xs[-1]):
-            raise DomainError(f"{t} outside domain {self.domain}")
+            raise DomainError(
+                f"{format_rational(t)} outside domain "
+                f"[{format_rational(self.xs[0])}, {format_rational(self.xs[-1])}]"
+            )
         i = bisect.bisect_right(self.xs, t) - 1
         if i == len(self.xs) - 1:
             return self.ys[-1]
@@ -67,7 +71,10 @@ class PLMap:
         """Unique preimage; the map must be strictly increasing, as
         ``BASE_MAP`` and every frame diagonal of a staged engine are."""
         if not (self.ys[0] <= v <= self.ys[-1]):
-            raise DomainError(f"{v} outside image {self.ys[0]}..{self.ys[-1]}")
+            raise DomainError(
+                f"{format_rational(v)} outside image "
+                f"[{format_rational(self.ys[0])}, {format_rational(self.ys[-1])}]"
+            )
         i = bisect.bisect_right(self.ys, v) - 1
         if i == len(self.ys) - 1:
             return self.xs[-1]

@@ -122,6 +122,11 @@ class TauEngine:
         self._round = 0
         self._log: list[dict] = []
         self._ops: list[dict] = []
+        # Settled read input -> (answer, the log entry that records it).  A
+        # settled value never changes and gains no new holders once it is a
+        # target of every family of its class, so a repeat re-logs the entry.
+        self._exact_reads: dict[Fraction, tuple[Fraction, dict]] = {}
+        self._preimage_reads: dict[Fraction, tuple[tuple[Fraction, ...], dict]] = {}
         self._seed()
 
     # -- construction -----------------------------------------------------
@@ -400,6 +405,10 @@ class TauEngine:
 
     def eval_exact(self, t) -> Fraction:
         t = as_fraction(t)
+        hit = self._exact_reads.get(t)
+        if hit is not None:
+            self._ops.append(hit[1])
+            return hit[0]
         self._validate_domain(t)
         if t == self._a:
             result = self._a2
@@ -415,7 +424,8 @@ class TauEngine:
                 while t not in self._values:
                     self._run_round()
             result = self._values[t]
-        self._record("eval_exact", [format_rational(t)], format_rational(result))
+        entry = self._record("eval_exact", [format_rational(t)], format_rational(result))
+        self._exact_reads[t] = (result, entry)
         return result
 
     def eval_approx(self, t, tol) -> Fraction:
@@ -454,18 +464,23 @@ class TauEngine:
 
     def preimages(self, v) -> list[Fraction]:
         v = as_fraction(v)
+        hit = self._preimage_reads.get(v)
+        if hit is not None:
+            self._ops.append(hit[1])
+            return list(hit[0])
         families = [c for c in (0, 1) if parity_class(v) == self._tp[c]]
         if not families or not self._a2 < v < self._b2:
             raise DomainError(f"{v} is not in any target family")
         for c in families:
             self._settle(v, c)
-        result = list(self._holders.get(v, ()))
-        self._record(
+        result = tuple(self._holders.get(v, ()))
+        entry = self._record(
             "preimages",
             [format_rational(v)],
             [format_rational(x) for x in result],
         )
-        return result
+        self._preimage_reads[v] = (result, entry)
+        return list(result)
 
     def current_stage(self) -> PLStage:
         return PLStage(
@@ -530,10 +545,18 @@ class TauEngine:
         if not self._a <= t <= self._b:
             raise DomainError(f"{t} outside domain [{self._a}, {self._b}]")
 
-    def _record(self, op: str, args: list, result) -> None:
-        self._ops.append({"op": op, "args": args, "result": result})
+    def _record(self, op: str, args: list, result) -> dict:
+        entry = {"op": op, "args": args, "result": result}
+        self._ops.append(entry)
+        return entry
 
     def dump(self) -> dict:
+        """The engine's frame, stage, round log and op log as JSON data.
+
+        The dump shares the engine's live lists, and every repeat of a
+        settled ``eval_exact`` or ``preimages`` read is the same entry object
+        as its first call, so treat a dump as read-only (copy it to edit).
+        """
         return {
             "schema": SCHEMA,
             "label": self._label,

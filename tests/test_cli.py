@@ -75,6 +75,13 @@ def test_eval_bad_rational(capsys):
     assert code == 2
 
 
+def test_eval_phi0_out_of_domain_prints_rationals(capsys):
+    code, out, err = run(capsys, "eval", "--phi0", "3/2")
+    assert code == 2 and out == ""
+    assert err == "usage error: 3/2 outside domain [0, 1]\n"
+    assert "Fraction(" not in err
+
+
 def test_orbit_root_cut(capsys):
     code, out, _ = run(capsys, "orbit", "--start", "cut:[],1/2", "--n", "3", "--m", "2")
     assert code == 0
@@ -184,6 +191,13 @@ def test_render_depth_limits(capsys):
         code, out, err = run(capsys, "render", "--m", m, "--letters", letters)
         assert code == 2
         assert out == "" and err.startswith("usage error:")
+
+
+def test_render_rejects_a_negative_orbit_length_like_orbit(capsys):
+    code, out, err = run(capsys, "render", "--m", "1", "--start", "cut:[],1/2", "--n", "-1")
+    assert code == 2 and out == ""
+    _, _, orbit_err = run(capsys, "orbit", "--start", "cut:[],1/2", "--n", "-1")
+    assert err == orbit_err == "usage error: --n must be nonnegative and --m at least 1\n"
 
 
 def test_render_rejects_json(capsys):

@@ -38,6 +38,13 @@ class TestPLMap:
         with pytest.raises(DomainError):
             PLMap(xs=(Fraction(0), Fraction(0)), ys=(Fraction(0), Fraction(1)))
 
+    def test_range_errors_print_rationals(self):
+        f = frame_diagonal((Fraction(0), Fraction(1, 3)), (Fraction(1, 4), Fraction(1)))
+        with pytest.raises(DomainError, match=r"^1/2 outside domain \[0, 1/3\]$"):
+            f.apply(Fraction(1, 2))
+        with pytest.raises(DomainError, match=r"^1/8 outside image \[1/4, 1\]$"):
+            f.invert(Fraction(1, 8))
+
     def test_frame_diagonal(self):
         ell = frame_diagonal(
             (Fraction(0), Fraction(1)), (Fraction(1, 4), Fraction(3, 4))

@@ -5,6 +5,7 @@ round's pick window is an exact intersection of open intervals, and the pick
 is the canonically first dyadic of the required parity class inside it.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 from dendromap.errors import BudgetExceeded, DomainError
 from dendromap.plmap import OMEGA
-from dendromap.rationals import first_dyadic_in, parity_class
+from dendromap.rationals import first_dyadic_in, format_rational, parity_class
+from dendromap.suites import _tau12_engines
 from dendromap.tau12 import (
     TauEngine,
     make_tau_alpha,
@@ -371,6 +373,61 @@ class TestReplayDump:
         assert ok, msg
 
 
+class TestRepeatedReads:
+    def test_a_repeat_logs_one_freshly_equal_entry(self):
+        eng = make_tau_alpha((F(1, 2), F(1, 4)))
+        value = eng.eval_exact(F(3, 16))
+        pre = eng.preimages(value)
+        ops = eng.dump()["ops"]
+        n = len(ops)
+        assert eng.eval_exact("3/16") == value
+        assert len(ops) == n + 1
+        assert ops[-1] == {
+            "op": "eval_exact", "args": ["3/16"], "result": format_rational(value),
+        }
+        got = eng.preimages(value)
+        assert got == pre and got is not pre
+        got.clear()
+        assert len(ops) == n + 2
+        assert ops[-1] == {
+            "op": "preimages",
+            "args": [format_rational(value)],
+            "result": [format_rational(x) for x in pre],
+        }
+        assert eng.preimages(value) == pre
+        ok, msg = replay_check(eng.dump())
+        assert ok, msg
+
+    def test_a_failed_read_is_not_kept(self):
+        eng = make_tau_alpha((F(1, 2), F(1, 4)))
+        n = len(eng.dump()["ops"])
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                eng.eval_exact(F(1, 3))
+            with pytest.raises(DomainError):
+                eng.preimages(F(3, 2))
+        assert len(eng.dump()["ops"]) == n
+
+    def test_repeats_retain_one_list_slot(self):
+        eng = _tau12_engines(512)["arc-fold"]
+        eng.ensure_rounds(64)
+        items = eng.settled_items()
+        t = items[len(items) // 2][0]
+        v = eng.eval_exact(t)
+        eng.preimages(v)
+        reads = 10_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(reads):
+                eng.eval_exact(t)
+                eng.preimages(v)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept / (2 * reads) < 32
+
+
 class TestFactoryValidation:
     def test_short_word_rejected(self):
         with pytest.raises(DomainError):
@@ -497,6 +554,33 @@ def test_preimages_match_a_node_scan(build, ops):
             assert eng.preimages(arg) == _brute_preimages(eng, arg)
     for c in (0, 1):
         for v in sorted(eng.settled_targets(c)):
+            assert eng.preimages(v) == _brute_preimages(eng, v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(build=st.sampled_from(ENGINE_POOL), ops=_ops, more=st.integers(0, 12))
+def test_repeated_reads_match_the_stage(build, ops, more):
+    """Re-asked reads still agree with the stage after later rounds."""
+    eng = build()
+    a, b = eng.domain
+    a2, b2 = eng.codomain
+    points, values = [], []
+    for kind, arg in ops:
+        if kind == "rounds":
+            eng.ensure_rounds(eng.round_count + arg)
+        elif kind == "eval":
+            if a < arg < b:
+                eng.eval_exact(arg)
+                points.append(arg)
+        elif a2 < arg < b2 and parity_class(arg) in eng.target_parity:
+            eng.preimages(arg)
+            values.append(arg)
+    for extra in (0, more):
+        eng.ensure_rounds(eng.round_count + extra)
+        settled = settled_map(eng)
+        for t in points:
+            assert eng.eval_exact(t) == settled[t]
+        for v in values:
             assert eng.preimages(v) == _brute_preimages(eng, v)
 
 
